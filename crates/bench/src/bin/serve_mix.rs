@@ -103,9 +103,9 @@ fn fmt_model_line(name: &str, m: &ModelStats, wall: Duration) -> String {
         name,
         m.completed,
         m.completed as f64 / wall.as_secs_f64(),
-        m.latency.p50(),
-        m.latency.p90(),
-        m.latency.p99(),
+        Duration::from_nanos(m.latency.p50()),
+        Duration::from_nanos(m.latency.p90()),
+        Duration::from_nanos(m.latency.p99()),
         m.expired,
         m.rejected_queue_full,
         m.rejected_expired,
@@ -345,7 +345,7 @@ fn batching_mode(effort: Effort) {
     let p99_u = stats_u
         .models
         .values()
-        .map(|m| m.latency.p99())
+        .map(|m| Duration::from_nanos(m.latency.p99()))
         .max()
         .unwrap();
     println!("\nunbatched 2x overload ({rounds} rounds, wall {wall_u:.2?}):");
@@ -394,7 +394,7 @@ fn batching_mode(effort: Effort) {
     let p99_b = stats_b
         .models
         .values()
-        .map(|m| m.latency.p99())
+        .map(|m| Duration::from_nanos(m.latency.p99()))
         .max()
         .unwrap();
 

@@ -137,7 +137,7 @@ struct Request {
 /// when one exists, otherwise make the admission sampling decision here.
 fn admission_ctx() -> (SpanContext, bool, u64) {
     let cur = nimble_obs::current();
-    let (ctx, owns_root) = if cur.is_none() {
+    let (ctx, owns_root) = if !cur.is_sampled() {
         (nimble_obs::start_trace(), true)
     } else {
         (cur, false)
@@ -323,12 +323,11 @@ pub struct Engine {
     counters: Arc<Counters>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     ctrl: Arc<WorkerCtrl>,
-    /// One storage arena per worker (empty when `NIMBLE_ARENA=off`).
+    /// One storage arena per worker.
     /// Workers keep them warm across requests; the engine exposes their
     /// summed stats and trims them on shutdown.
     arenas: Vec<Arc<StorageArena>>,
-    /// Dynamic-batching plan (None = unbatched path, also forced by
-    /// `NIMBLE_BATCH=off` at construction).
+    /// Dynamic-batching plan (None = unbatched path).
     plan: Option<Arc<BatchPlan>>,
 }
 
@@ -353,9 +352,8 @@ impl Engine {
 
     /// [`Engine::new`] plus a dynamic-batching plan: workers additionally
     /// group compatible same-bucket requests from each drain into one
-    /// padded batched execution (see [`nimble_vm::batch`]). The
-    /// `NIMBLE_BATCH=off` environment escape hatch drops the plan here,
-    /// restoring the unbatched path unchanged.
+    /// padded batched execution (see [`nimble_vm::batch`]). `None` is the
+    /// unbatched reference path the batching differentials compare against.
     ///
     /// # Errors
     /// Same conditions as [`Engine::new`].
@@ -369,16 +367,11 @@ impl Engine {
                 "engine config: workers, queue_capacity and max_batch must be nonzero",
             ));
         }
-        let plan = if nimble_vm::batching_disabled() {
-            None
-        } else {
-            plan
-        };
         let (queue, rx) = bounded::<Request>(config.queue_capacity);
         let counters = Arc::new(Counters::default());
         let ctrl = Arc::new(WorkerCtrl::default());
         let mut workers = Vec::with_capacity(config.workers);
-        let mut arenas = Vec::new();
+        let mut arenas = Vec::with_capacity(config.workers);
         for worker_idx in 0..config.workers {
             let vm = Arc::clone(&vm);
             let worker_rx = rx.clone();
@@ -389,10 +382,8 @@ impl Engine {
             // Engine-owned arena so stats/trim work from outside the
             // worker; the session recycles storage into it across every
             // request the worker serves.
-            let arena = StorageArena::shared_default();
-            if let Some(a) = &arena {
-                arenas.push(Arc::clone(a));
-            }
+            let arena = Arc::new(StorageArena::new());
+            arenas.push(Arc::clone(&arena));
             let handle = std::thread::Builder::new()
                 .name(format!("nimble-engine-{worker_idx}"))
                 .spawn(move || {
@@ -404,7 +395,7 @@ impl Engine {
                         worker_idx,
                         max_batch,
                         plan,
-                        session: Session::with_lane_and_arena(worker_idx, arena),
+                        session: Session::with_lane_and_arena(worker_idx, Some(arena)),
                     }
                     .run()
                 })
@@ -663,8 +654,7 @@ impl Engine {
         self.ctrl.label.load(Ordering::Relaxed)
     }
 
-    /// Summed arena counters across all workers (all-zero when arenas are
-    /// disabled via `NIMBLE_ARENA=off`).
+    /// Summed arena counters across all workers.
     pub fn arena_stats(&self) -> ArenaStats {
         let mut total = ArenaStats::default();
         for arena in &self.arenas {
@@ -1495,13 +1485,6 @@ mod tests {
         vec![Object::tensor(Tensor::from_vec_f32(data, &[n]).unwrap())]
     }
 
-    /// Serializes engine construction against the `NIMBLE_BATCH` env-var
-    /// test below (`batching_disabled` is read at construction time).
-    fn env_lock() -> &'static std::sync::Mutex<()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        &LOCK
-    }
-
     #[test]
     fn batched_outputs_bitwise_match_and_are_counted() {
         let vm = batchable_vm();
@@ -1511,19 +1494,16 @@ mod tests {
             max_batch: 8,
             max_wait: Duration::from_millis(20),
         });
-        let engine = {
-            let _g = env_lock().lock().unwrap();
-            Engine::with_plan(
-                Arc::clone(&vm),
-                EngineConfig {
-                    workers: 1,
-                    queue_capacity: 16,
-                    max_batch: 8,
-                },
-                Some(plan),
-            )
-            .unwrap()
-        };
+        let engine = Engine::with_plan(
+            Arc::clone(&vm),
+            EngineConfig {
+                workers: 1,
+                queue_capacity: 16,
+                max_batch: 8,
+            },
+            Some(plan),
+        )
+        .unwrap();
         // Pause so the whole wave is queued before the single worker
         // drains it — the drain then forms one padded batch.
         engine.pause_and_wait();
@@ -1564,16 +1544,9 @@ mod tests {
     }
 
     #[test]
-    fn nimble_batch_off_restores_unbatched_path() {
+    fn no_plan_serves_the_unbatched_path() {
         let vm = batchable_vm();
-        let plan = vector_plan(BatchConfig::default());
-        let engine = {
-            let _g = env_lock().lock().unwrap();
-            std::env::set_var("NIMBLE_BATCH", "off");
-            let e = Engine::with_plan(Arc::clone(&vm), EngineConfig::with_workers(1), Some(plan));
-            std::env::remove_var("NIMBLE_BATCH");
-            e.unwrap()
-        };
+        let engine = Engine::new(Arc::clone(&vm), EngineConfig::with_workers(1)).unwrap();
         assert!(engine.plan().is_none());
         let tickets: Vec<Ticket> = (0..6)
             .map(|_| engine.submit("main", vec_arg(vec![1.0, 2.0])))
@@ -1599,19 +1572,16 @@ mod tests {
             max_batch: 8,
             max_wait: Duration::ZERO,
         });
-        let engine = {
-            let _g = env_lock().lock().unwrap();
-            Engine::with_plan(
-                Arc::clone(&vm),
-                EngineConfig {
-                    workers: 1,
-                    queue_capacity: 16,
-                    max_batch: 8,
-                },
-                Some(plan),
-            )
-            .unwrap()
-        };
+        let engine = Engine::with_plan(
+            Arc::clone(&vm),
+            EngineConfig {
+                workers: 1,
+                queue_capacity: 16,
+                max_batch: 8,
+            },
+            Some(plan),
+        )
+        .unwrap();
         engine.pause_and_wait();
         // The expired request sits between two live ones: the deadline
         // check at pull-into-forming-batch time must drop it before it
@@ -1648,19 +1618,16 @@ mod tests {
             max_batch: 8,
             max_wait: Duration::ZERO,
         });
-        let engine = {
-            let _g = env_lock().lock().unwrap();
-            Engine::with_plan(
-                Arc::clone(&vm),
-                EngineConfig {
-                    workers: 1,
-                    queue_capacity: 16,
-                    max_batch: 8,
-                },
-                Some(plan),
-            )
-            .unwrap()
-        };
+        let engine = Engine::with_plan(
+            Arc::clone(&vm),
+            EngineConfig {
+                workers: 1,
+                queue_capacity: 16,
+                max_batch: 8,
+            },
+            Some(plan),
+        )
+        .unwrap();
         engine.pause_and_wait();
         let tickets: Vec<Ticket> = (0..4)
             .map(|i| engine.submit("main", vec_arg(vec![i as f32; 2])))
@@ -1688,19 +1655,16 @@ mod tests {
             max_batch: 8,
             max_wait: Duration::ZERO,
         });
-        let engine = {
-            let _g = env_lock().lock().unwrap();
-            Engine::with_plan(
-                Arc::clone(&vm),
-                EngineConfig {
-                    workers: 1,
-                    queue_capacity: 16,
-                    max_batch: 8,
-                },
-                Some(plan),
-            )
-            .unwrap()
-        };
+        let engine = Engine::with_plan(
+            Arc::clone(&vm),
+            EngineConfig {
+                workers: 1,
+                queue_capacity: 16,
+                max_batch: 8,
+            },
+            Some(plan),
+        )
+        .unwrap();
         // A lone request can never meet min_batch = 3 with max_wait = 0:
         // it must run unbatched rather than stall.
         let t = engine.submit("main", vec_arg(vec![2.5, -1.0]));

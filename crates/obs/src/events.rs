@@ -21,6 +21,7 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::Write as _;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -44,8 +45,31 @@ pub enum FieldVal<'a> {
 
 struct EventLog {
     ring: VecDeque<String>,
-    sink: Option<std::fs::File>,
+    sink: Option<(PathBuf, std::fs::File)>,
     sink_init: bool,
+}
+
+impl EventLog {
+    /// The file sink, attached from `NIMBLE_EVENTS_FILE` on first use.
+    fn sink(&mut self) -> Option<&mut (PathBuf, std::fs::File)> {
+        if !self.sink_init {
+            self.sink_init = true;
+            self.sink = std::env::var("NIMBLE_EVENTS_FILE")
+                .ok()
+                .filter(|p| !p.is_empty())
+                .and_then(|p| open_sink(Path::new(&p)));
+        }
+        self.sink.as_mut()
+    }
+}
+
+fn open_sink(path: &Path) -> Option<(PathBuf, std::fs::File)> {
+    let file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .ok()?;
+    Some((path.to_path_buf(), file))
 }
 
 fn log() -> &'static Mutex<EventLog> {
@@ -103,19 +127,7 @@ pub fn emit(kind: &str, model: &str, fields: &[(&str, FieldVal)]) {
     line.push('}');
     TOTAL.fetch_add(1, Ordering::Relaxed);
     let mut log = log().lock().unwrap();
-    if !log.sink_init {
-        log.sink_init = true;
-        if let Ok(path) = std::env::var("NIMBLE_EVENTS_FILE") {
-            if !path.is_empty() {
-                log.sink = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)
-                    .ok();
-            }
-        }
-    }
-    if let Some(sink) = log.sink.as_mut() {
+    if let Some((_, sink)) = log.sink() {
         let _ = writeln!(sink, "{line}");
     }
     if log.ring.len() == EVENT_RING {
@@ -153,17 +165,12 @@ pub fn reset_events() {
     TOTAL.store(0, Ordering::Relaxed);
 }
 
-/// Redirect the file sink (tests). `None` detaches.
-pub fn set_event_sink(path: Option<&std::path::Path>) {
+/// Where event lines are being appended: the effective value of
+/// `NIMBLE_EVENTS_FILE` (`None` when unset or the file could not be
+/// opened).
+pub fn event_sink_path() -> Option<PathBuf> {
     let mut log = log().lock().unwrap();
-    log.sink_init = true;
-    log.sink = path.and_then(|p| {
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(p)
-            .ok()
-    });
+    log.sink().map(|(path, _)| path.clone())
 }
 
 #[cfg(test)]

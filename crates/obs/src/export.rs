@@ -10,6 +10,7 @@
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
+use crate::hist::HistogramSnapshot;
 use crate::{
     dropped_spans, dropped_spans_total, flight, mode, recorded_spans, snapshot, SpanRecord,
     TraceMode,
@@ -94,19 +95,14 @@ pub fn chrome_trace_for(spans: &[SpanRecord], dropped: u64) -> String {
 /// Builder for Prometheus text-format output, handed to registered
 /// collectors. Guarantees well-formed `# HELP`/`# TYPE` headers and
 /// label escaping.
+#[derive(Default)]
 pub struct PromBuf {
     out: String,
 }
 
 impl PromBuf {
-    fn new() -> PromBuf {
-        PromBuf {
-            out: String::with_capacity(4096),
-        }
-    }
-
     /// Emit the `# HELP` / `# TYPE` header for a metric family.
-    /// `kind` is `counter`, `gauge`, `summary`, or `untyped`.
+    /// `kind` is `counter`, `gauge`, `summary`, `histogram`, or `untyped`.
     pub fn header(&mut self, name: &str, help: &str, kind: &str) {
         let _ = writeln!(self.out, "# HELP {name} {help}");
         let _ = writeln!(self.out, "# TYPE {name} {kind}");
@@ -154,27 +150,61 @@ impl PromBuf {
         }
     }
 
-    /// Emit one integer sample line with an OpenMetrics exemplar suffix:
-    /// `name{labels} value # {exemplar_labels} exemplar_value`. Used by
-    /// histogram buckets to link a bucket to the trace id of its most
-    /// recent retained flight-recorder sample.
-    pub fn sample_with_exemplar(
+    /// Emit `name_sum` and `name_count` for `h`, the tail shared by the
+    /// summary and histogram renderings.
+    fn sum_count(&mut self, name: &str, labels: &[(&str, &str)], h: &HistogramSnapshot, unit: f64) {
+        self.sample_f64(&format!("{name}_sum"), labels, h.sum() as f64 / unit);
+        self.sample_u64(&format!("{name}_count"), labels, h.count());
+    }
+
+    /// Emit `h` as the sample lines of a `summary` family: the 0.5 / 0.9 /
+    /// 0.99 quantiles, `_sum` and `_count`. Recorded values are divided by
+    /// `unit` on the way out (`1e9` turns nanoseconds into seconds, `1.0`
+    /// leaves plain counts alone).
+    pub fn summary(
         &mut self,
         name: &str,
         labels: &[(&str, &str)],
-        value: u64,
-        exemplar_labels: &[(&str, &str)],
-        exemplar_value: f64,
+        h: &HistogramSnapshot,
+        unit: f64,
     ) {
-        self.out.push_str(name);
-        self.write_labels(labels);
-        let _ = write!(self.out, " {value} # ");
-        self.write_labels(exemplar_labels);
-        if exemplar_value.is_finite() {
-            let _ = writeln!(self.out, " {exemplar_value}");
-        } else {
-            let _ = writeln!(self.out, " NaN");
+        for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
+            let labels = [labels, &[("quantile", label)]].concat();
+            self.sample_f64(name, &labels, h.quantile(q) as f64 / unit);
         }
+        self.sum_count(name, labels, h, unit);
+    }
+
+    /// Emit `h` as the sample lines of a `histogram` family: one
+    /// cumulative `_bucket{le=...}` line per bound of its ladder (see
+    /// [`HistogramSnapshot::ladder`]) ending in `+Inf`, each carrying its
+    /// exemplar in OpenMetrics syntax (`... count # {trace_id="..."} value`)
+    /// when one was stamped, then `_sum` and `_count`. `unit` scales as in [`PromBuf::summary`].
+    pub fn histogram(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        h: &HistogramSnapshot,
+        unit: f64,
+    ) {
+        let bucket = format!("{name}_bucket");
+        for b in h.ladder() {
+            let le =
+                b.le.map_or("+Inf".to_string(), |le| (le as f64 / unit).to_string());
+            let labels = [labels, &[("le", le.as_str())]].concat();
+            self.out.push_str(&bucket);
+            self.write_labels(&labels);
+            let _ = write!(self.out, " {}", b.count);
+            if let Some((trace, value)) = b.exemplar {
+                let _ = write!(
+                    self.out,
+                    " # {{trace_id=\"{trace}\"}} {}",
+                    value as f64 / unit
+                );
+            }
+            self.out.push('\n');
+        }
+        self.sum_count(name, labels, h, unit);
     }
 
     /// Finished exposition text.
@@ -211,75 +241,77 @@ pub fn register_collector(f: impl Fn(&mut PromBuf) + Send + Sync + 'static) -> C
 /// every live registered collector (serve latency/queue summaries, arena
 /// hit-rate, device-pool gauges, VM profile buckets...).
 pub fn prometheus() -> String {
-    let mut buf = PromBuf::new();
-    buf.header(
-        "nimble_obs_spans_recorded",
-        "Spans currently retained in thread buffers",
-        "gauge",
-    );
-    buf.sample_u64("nimble_obs_spans_recorded", &[], recorded_spans());
-    buf.header(
-        "nimble_obs_spans_dropped_total",
-        "Spans dropped on thread-buffer overflow since last reset",
-        "counter",
-    );
-    buf.sample_u64("nimble_obs_spans_dropped_total", &[], dropped_spans());
-    buf.header(
-        "nimble_obs_dropped_spans_total",
-        "Spans dropped anywhere (thread-ring overflow + flight request-buffer overflow) since last reset",
-        "counter",
-    );
-    buf.sample_u64("nimble_obs_dropped_spans_total", &[], dropped_spans_total());
-    buf.header(
-        "nimble_obs_trace_mode",
-        "Tracing mode (0=off, 1=all, 2=tail, N=sampled 1-in-N; see nimble_obs_tail_multiplier)",
-        "gauge",
-    );
+    let mut buf = PromBuf::default();
+    let tail = mode() == TraceMode::Tail;
     let mode_val = match mode() {
-        TraceMode::Off => 0,
-        TraceMode::All => 1,
-        TraceMode::Tail => 2,
-        TraceMode::Sampled(n) => n,
+        TraceMode::Off => 0.0,
+        TraceMode::All => 1.0,
+        TraceMode::Tail => 2.0,
     };
-    buf.sample_u64("nimble_obs_trace_mode", &[], mode_val);
-    if mode() == TraceMode::Tail {
-        buf.header(
+    // (name, help, kind, value, shown): the obs self-metrics, one row each.
+    for (name, help, kind, value, shown) in [
+        (
+            "nimble_obs_spans_recorded",
+            "Spans currently retained in thread buffers",
+            "gauge",
+            recorded_spans() as f64,
+            true,
+        ),
+        (
+            "nimble_obs_spans_dropped_total",
+            "Spans dropped on thread-buffer overflow since last reset",
+            "counter",
+            dropped_spans() as f64,
+            true,
+        ),
+        (
+            "nimble_obs_dropped_spans_total",
+            "Spans dropped anywhere (thread-ring overflow + flight request-buffer overflow) since last reset",
+            "counter",
+            dropped_spans_total() as f64,
+            true,
+        ),
+        (
+            "nimble_obs_trace_mode",
+            "Tracing mode (0=off, 1=all, 2=tail; see nimble_obs_tail_multiplier)",
+            "gauge",
+            mode_val,
+            true,
+        ),
+        (
             "nimble_obs_tail_multiplier",
             "Rolling-p99 multiplier of the tail retention threshold",
             "gauge",
-        );
-        buf.sample_f64("nimble_obs_tail_multiplier", &[], flight::tail_multiplier());
+            flight::tail_multiplier(),
+            tail,
+        ),
+        (
+            "nimble_obs_flight_retained_total",
+            "Traces retained by the flight recorder since last reset",
+            "counter",
+            flight::retained_total() as f64,
+            true,
+        ),
+        (
+            "nimble_obs_flight_active_buffers",
+            "In-flight per-request span buffers currently registered",
+            "gauge",
+            flight::active_buffers() as f64,
+            true,
+        ),
+        (
+            "nimble_obs_events_total",
+            "Structured lifecycle events emitted since last reset",
+            "counter",
+            crate::events::events_total() as f64,
+            true,
+        ),
+    ] {
+        if shown {
+            buf.header(name, help, kind);
+            buf.sample_f64(name, &[], value);
+        }
     }
-    buf.header(
-        "nimble_obs_flight_retained_total",
-        "Traces retained by the flight recorder since last reset",
-        "counter",
-    );
-    buf.sample_u64(
-        "nimble_obs_flight_retained_total",
-        &[],
-        flight::retained_total(),
-    );
-    buf.header(
-        "nimble_obs_flight_active_buffers",
-        "In-flight per-request span buffers currently registered",
-        "gauge",
-    );
-    buf.sample_u64(
-        "nimble_obs_flight_active_buffers",
-        &[],
-        flight::active_buffers() as u64,
-    );
-    buf.header(
-        "nimble_obs_events_total",
-        "Structured lifecycle events emitted since last reset",
-        "counter",
-    );
-    buf.sample_u64(
-        "nimble_obs_events_total",
-        &[],
-        crate::events::events_total(),
-    );
 
     let live: Vec<Arc<Collector>> = {
         let mut reg = collectors().lock().unwrap();

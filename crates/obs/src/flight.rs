@@ -25,7 +25,8 @@
 //! cost one buffer allocation and one hash insert/remove — the ≤3%
 //! overhead gate in `obs_overhead --smoke` holds the line.
 
-use crate::{SpanRecord, SUPPRESSED, WORDS};
+use crate::hist::Histogram;
+use crate::{SpanRecord, WORDS};
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -277,7 +278,7 @@ pub(crate) fn begin(trace: u64) {
 /// will flush it); without it the batch is flushed immediately — the
 /// record may be the last this thread ever pushes for the trace.
 pub(crate) fn try_push(trace: u64, rec: [u64; WORDS], staged: bool) -> bool {
-    if trace == 0 || trace == SUPPRESSED {
+    if trace == 0 {
         return false;
     }
 
@@ -327,7 +328,7 @@ pub(crate) fn flush_thread_any() {
 
 /// Flag the in-flight buffer for `ctx.trace` so [`finish`] retains it
 /// regardless of latency. `reason` is a `PIN_*` bit. No-op when the trace
-/// has no buffer (non-tail mode, already finished, suppressed).
+/// has no buffer (non-tail mode, already finished).
 pub fn pin(ctx: crate::SpanContext, reason: u32) {
     if !ctx.is_sampled() {
         return;
@@ -361,51 +362,38 @@ pub fn episode_scope() -> EpisodeGuard {
 // ---------------------------------------------------------------------------
 // Rolling-quantile threshold
 
-/// Coarse log₂ latency histogram over a rolling window; the p99 estimate
-/// is the upper bound of the bucket holding the p99 rank, so thresholds
-/// are conservative by at most 2× (absorbed by the multiplier).
+/// The last [`WINDOW`] latencies of one model. The ring only remembers
+/// which sample ages out next; the distribution lives in the shared
+/// [`Histogram`], so the p99 estimate is the upper bound of the log-linear
+/// bucket holding the p99 rank — conservative by at most 25% (absorbed by
+/// the multiplier).
 struct LatWindow {
     ring: VecDeque<u64>,
-    counts: [u32; 64],
+    hist: Histogram,
 }
 
 impl LatWindow {
     fn new() -> LatWindow {
         LatWindow {
             ring: VecDeque::with_capacity(WINDOW),
-            counts: [0; 64],
+            hist: Histogram::new(),
         }
-    }
-
-    fn bucket(ns: u64) -> usize {
-        (64 - ns.max(1).leading_zeros() as usize) - 1
     }
 
     fn push(&mut self, ns: u64) {
         if self.ring.len() == WINDOW {
-            let old = self.ring.pop_front().unwrap();
-            self.counts[Self::bucket(old)] -= 1;
+            if let Some(old) = self.ring.pop_front() {
+                self.hist.unrecord(old);
+            }
         }
         self.ring.push_back(ns);
-        self.counts[Self::bucket(ns)] += 1;
+        self.hist.record(ns);
     }
 
     /// Upper bound of the bucket containing the p99 rank, or `None`
     /// before warmup.
     fn p99_ub(&self) -> Option<u64> {
-        let n = self.ring.len();
-        if n < WARMUP {
-            return None;
-        }
-        let rank = (n * 99).div_ceil(100).max(1);
-        let mut seen = 0usize;
-        for (b, &c) in self.counts.iter().enumerate() {
-            seen += c as usize;
-            if seen >= rank {
-                return Some(if b >= 63 { u64::MAX } else { 1u64 << (b + 1) });
-            }
-        }
-        None
+        (self.ring.len() >= WARMUP).then(|| self.hist.quantile_upper(0.99))
     }
 }
 
@@ -761,12 +749,14 @@ mod tests {
     #[test]
     fn lat_window_p99_tracks_bucket_upper_bound() {
         let mut w = LatWindow::new();
-        for _ in 0..WARMUP {
-            w.push(1000); // bucket [512, 1024) → ub 1024
+        for _ in 0..WARMUP - 1 {
+            w.push(1000);
         }
+        assert_eq!(w.p99_ub(), None, "threshold armed before warmup");
+        w.push(1000); // bucket [896, 1024) → ub 1024
         assert_eq!(w.p99_ub(), Some(1024));
         // One giant sample in a 64-window is above the p99 rank only when
-        // rank ≥ n; with n=64, rank = ceil(64*0.99)=64 → it IS the max.
+        // rank ≥ n; with n=65, rank = ceil(65*0.99)=65 → it IS the max.
         w.push(1_000_000);
         let ub = w.p99_ub().unwrap();
         assert!(ub >= 1_000_000, "p99 ub {ub} should cover the max");
@@ -783,16 +773,6 @@ mod tests {
         }
         assert_eq!(w.p99_ub(), Some(1024));
         assert_eq!(w.ring.len(), WINDOW);
-        assert_eq!(w.counts.iter().map(|&c| c as usize).sum::<usize>(), WINDOW);
-    }
-
-    #[test]
-    fn bucket_is_monotone() {
-        let mut last = 0;
-        for ns in [0u64, 1, 2, 3, 4, 1023, 1024, 1 << 40, u64::MAX] {
-            let b = LatWindow::bucket(ns);
-            assert!(b >= last);
-            last = b;
-        }
+        assert_eq!(w.hist.snapshot().count(), WINDOW as u64);
     }
 }

@@ -16,21 +16,23 @@
 //!   concurrently with acquire loads and a generation re-check). When a
 //!   buffer fills, further spans are *dropped and counted* — memory stays
 //!   bounded, and [`dropped_spans`] reports the loss instead of hiding it.
-//! * **Traces** are started at an admission point ([`start_trace`]) which
-//!   makes the sampling decision once per request; everything downstream
-//!   inherits the decision through the thread-local [`SpanContext`]
-//!   (explicitly carried across queues/threads with [`current`] +
-//!   [`enter`]).
-//! * **Sampling switch**: `NIMBLE_TRACE=off|sampled:<N>|all|tail[:mult]`
-//!   (also settable programmatically with [`set_mode`]). The disabled
-//!   fast path of every instrumentation site is a single relaxed atomic
-//!   load — no clock read, no TLS access, no allocation.
-//! * **Tail mode** ([`TraceMode::Tail`]) inverts the sampling decision:
-//!   every request records into a bounded per-request buffer (module
+//! * **Traces** are started at an admission point ([`start_trace`]);
+//!   everything downstream inherits the trace through the thread-local
+//!   [`SpanContext`] (explicitly carried across queues/threads with
+//!   [`current`] + [`enter`]).
+//! * **Mode switch**: `NIMBLE_TRACE=off|tail[:mult]|all` (also settable
+//!   programmatically with [`set_mode`]). The disabled fast path of every
+//!   instrumentation site is a single relaxed atomic load — no clock
+//!   read, no TLS access, no allocation.
+//! * **Tail mode** ([`TraceMode::Tail`]) is the production mode: every
+//!   request records into a bounded per-request buffer (module
 //!   [`flight`]) and the keep/drop verdict is rendered at request
 //!   *completion* — retain p99 outliers, sheds, requeues, chaos-episode
 //!   and specialize-triggering requests; drop the steady state. See the
-//!   [`flight`] module docs for the verdict table.
+//!   [`flight`] module docs for the verdict table. `all` keeps every span
+//!   in the per-thread rings, for export and debugging.
+//! * **Metrics** share one histogram type ([`hist::Histogram`]) and one
+//!   Prometheus text builder ([`export::PromBuf`]).
 //!
 //! Span names must be `&'static str` so records stay plain words; dynamic
 //! names (kernel names, model names) are interned once with [`intern`].
@@ -38,6 +40,7 @@
 pub mod events;
 pub mod export;
 pub mod flight;
+pub mod hist;
 pub mod json;
 
 use std::cell::Cell;
@@ -58,9 +61,7 @@ pub enum TraceMode {
     /// Record nothing; every instrumentation site reduces to one relaxed
     /// atomic load.
     Off,
-    /// Record one of every `N` traces (decided at [`start_trace`]).
-    Sampled(u64),
-    /// Record every trace.
+    /// Record every trace into the per-thread rings (export/debug mode).
     All,
     /// Flight-recorder mode: capture every trace into a per-request
     /// buffer and decide keep/drop at completion (see [`flight`]). The
@@ -129,17 +130,12 @@ impl Category {
     }
 }
 
-/// Trace id marking "a sampling decision was made, and it was *no*".
-/// Distinct from 0 ("no trace context at all") so a downstream layer does
-/// not make a second, independent sampling decision for the same request.
-const SUPPRESSED: u64 = u64::MAX;
-
 /// The propagation handle: which trace (if any) the current work belongs
 /// to and which span is its parent. `Copy` so it can ride through request
 /// queues and closures for free.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanContext {
-    /// Trace id; 0 = no context, `u64::MAX` = sampled out.
+    /// Trace id; 0 = no context.
     pub trace: u64,
     /// Parent span id within the trace (the trace root's own id for a
     /// freshly started trace).
@@ -150,14 +146,10 @@ impl SpanContext {
     /// No context at all (downstream layers may start their own trace).
     pub const NONE: SpanContext = SpanContext { trace: 0, span: 0 };
 
-    /// Whether spans under this context are recorded.
+    /// Whether spans under this context are recorded (it belongs to a
+    /// trace; the alternative is [`SpanContext::NONE`]).
     pub fn is_sampled(self) -> bool {
-        self.trace != 0 && self.trace != SUPPRESSED
-    }
-
-    /// Whether no sampling decision has been made yet.
-    pub fn is_none(self) -> bool {
-        self.trace == 0
+        self.trace != 0
     }
 }
 
@@ -167,49 +159,64 @@ impl SpanContext {
 const MODE_UNINIT: u64 = u64::MAX;
 const MODE_OFF: u64 = 0;
 const MODE_ALL: u64 = 1;
-/// Tail-based flight-recorder mode (distinct from any sampled-1-in-N
-/// value a caller could plausibly configure).
-const MODE_TAIL: u64 = u64::MAX - 1;
+const MODE_TAIL: u64 = 2;
 
 static MODE: AtomicU64 = AtomicU64::new(MODE_UNINIT);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
-static SAMPLE_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// Bumped by [`reset`]; buffers lazily self-clear when they notice.
 static GENERATION: AtomicU64 = AtomicU64::new(1);
 
+/// Parse a `NIMBLE_TRACE` value into a mode and an optional tail
+/// multiplier. `None` is "not a mode": the caller warns and stays off, the
+/// way a bad `NIMBLE_SIMD` value falls back to the detected ISA.
+fn parse_mode(v: &str) -> Option<(TraceMode, Option<f64>)> {
+    let v = v.to_ascii_lowercase();
+    match v.as_str() {
+        "" | "off" | "0" | "false" | "none" => Some((TraceMode::Off, None)),
+        "all" | "on" | "1" | "true" => Some((TraceMode::All, None)),
+        "tail" => Some((TraceMode::Tail, None)),
+        // A malformed multiplier keeps the default one.
+        _ => v.strip_prefix("tail:").map(|mult| {
+            let mult = mult.parse().ok();
+            (
+                TraceMode::Tail,
+                mult.filter(|m: &f64| m.is_finite() && *m > 0.0),
+            )
+        }),
+    }
+}
+
+fn mode_word(mode: TraceMode) -> u64 {
+    match mode {
+        TraceMode::Off => MODE_OFF,
+        TraceMode::All => MODE_ALL,
+        TraceMode::Tail => MODE_TAIL,
+    }
+}
+
 fn parse_env_mode() -> u64 {
-    match std::env::var("NIMBLE_TRACE") {
-        Ok(v) => {
-            let v = v.to_ascii_lowercase();
-            match v.as_str() {
-                "" | "off" | "0" | "false" | "none" => MODE_OFF,
-                "all" | "on" | "1" | "true" => MODE_ALL,
-                "tail" => MODE_TAIL,
-                _ => {
-                    if let Some(mult) = v.strip_prefix("tail:") {
-                        match mult.parse::<f64>() {
-                            Ok(m) if m.is_finite() && m > 0.0 => {
-                                flight::set_tail_multiplier(m);
-                                MODE_TAIL
-                            }
-                            _ => MODE_TAIL,
-                        }
-                    } else {
-                        match v
-                            .strip_prefix("sampled:")
-                            .and_then(|n| n.parse::<u64>().ok())
-                        {
-                            Some(0) => MODE_OFF,
-                            Some(1) => MODE_ALL,
-                            Some(n) => n,
-                            None => MODE_OFF,
-                        }
-                    }
-                }
+    let Ok(v) = std::env::var("NIMBLE_TRACE") else {
+        return MODE_OFF;
+    };
+    match parse_mode(&v) {
+        Some((mode, mult)) => {
+            if let Some(m) = mult {
+                flight::set_tail_multiplier(m);
             }
+            mode_word(mode)
         }
-        Err(_) => MODE_OFF,
+        None => {
+            // `mode_raw` may parse a few times under a startup race.
+            static WARNED: std::sync::Once = std::sync::Once::new();
+            WARNED.call_once(|| {
+                eprintln!(
+                    "nimble-obs: unrecognized NIMBLE_TRACE={v:?} (expected \
+                 off|tail[:mult]|all); tracing stays off"
+                )
+            });
+            MODE_OFF
+        }
     }
 }
 
@@ -236,28 +243,15 @@ pub fn enabled() -> bool {
 /// Override the process-wide trace mode (tests and benchmarks; production
 /// uses the `NIMBLE_TRACE` environment variable).
 pub fn set_mode(mode: TraceMode) {
-    let v = match mode {
-        TraceMode::Off => MODE_OFF,
-        TraceMode::All => MODE_ALL,
-        TraceMode::Tail => MODE_TAIL,
-        TraceMode::Sampled(n) => match n {
-            0 => MODE_OFF,
-            1 => MODE_ALL,
-            // Reserved words can't be expressed as a sampling ratio.
-            n if n >= MODE_TAIL => MODE_TAIL - 1,
-            n => n,
-        },
-    };
-    MODE.store(v, Ordering::Relaxed);
+    MODE.store(mode_word(mode), Ordering::Relaxed);
 }
 
 /// The current process-wide trace mode.
 pub fn mode() -> TraceMode {
     match mode_raw() {
-        MODE_OFF => TraceMode::Off,
         MODE_ALL => TraceMode::All,
         MODE_TAIL => TraceMode::Tail,
-        n => TraceMode::Sampled(n),
+        _ => TraceMode::Off,
     }
 }
 
@@ -662,43 +656,23 @@ pub fn current() -> SpanContext {
     CURRENT.with(|c| c.get())
 }
 
-/// Make the admission-time sampling decision and open a new trace.
-/// Returns a sampled context (whose `span` is the pre-allocated root span
-/// id — record it later with [`record_root`]), a suppressed context
-/// (decision made, not sampled), or [`SpanContext::NONE`] when off.
+/// Open a new trace at an admission point. Returns a recording context
+/// (whose `span` is the pre-allocated root span id — record it later with
+/// [`record_root`]), or [`SpanContext::NONE`] when tracing is off.
 pub fn start_trace() -> SpanContext {
-    match mode_raw() {
-        MODE_OFF => SpanContext::NONE,
-        MODE_ALL => SpanContext {
-            trace: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
-            span: next_span_id(),
-        },
-        MODE_TAIL => {
-            // Flight-recorder mode: every request records; the keep/drop
-            // decision waits for the terminal verdict (`flight::finish`).
-            let trace = NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed);
-            flight::begin(trace);
-            SpanContext {
-                trace,
-                span: next_span_id(),
-            }
-        }
-        n => {
-            if SAMPLE_COUNTER
-                .fetch_add(1, Ordering::Relaxed)
-                .is_multiple_of(n)
-            {
-                SpanContext {
-                    trace: NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed),
-                    span: next_span_id(),
-                }
-            } else {
-                SpanContext {
-                    trace: SUPPRESSED,
-                    span: 0,
-                }
-            }
-        }
+    let mode = mode_raw();
+    if mode == MODE_OFF {
+        return SpanContext::NONE;
+    }
+    let trace = NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed);
+    if mode == MODE_TAIL {
+        // Flight-recorder mode: every request records; the keep/drop
+        // decision waits for the terminal verdict (`flight::finish`).
+        flight::begin(trace);
+    }
+    SpanContext {
+        trace,
+        span: next_span_id(),
     }
 }
 
@@ -893,8 +867,8 @@ pub fn span_detail(name: &'static str, cat: Category, arg: u64) -> Span {
     span_full(name, cat, arg)
 }
 
-/// Like [`span_full`], but when the thread has *no* context at all, make
-/// a fresh sampling decision and become a trace root. Lets a bare
+/// Like [`span_full`], but when the thread has *no* context at all, open
+/// a fresh trace and become its root. Lets a bare
 /// `VirtualMachine::run` produce a trace without a serving stack above
 /// it, while nesting normally when one exists.
 pub fn root_span_full(name: &'static str, cat: Category, arg: u64) -> Span {
@@ -902,7 +876,7 @@ pub fn root_span_full(name: &'static str, cat: Category, arg: u64) -> Span {
         return Span::INERT;
     }
     let cur = CURRENT.with(|c| c.get());
-    if !cur.is_none() {
+    if cur.is_sampled() {
         return span_full(name, cat, arg);
     }
     let ctx = start_trace();
@@ -1013,7 +987,7 @@ mod tests {
         set_mode(TraceMode::Off);
         reset();
         let ctx = start_trace();
-        assert!(ctx.is_none());
+        assert_eq!(ctx, SpanContext::NONE);
         let s = span("noop");
         assert!(!s.is_recording());
         drop(s);
@@ -1052,23 +1026,6 @@ mod tests {
             assert_eq!(outer.cat, Category::Engine);
             assert!(recs.iter().all(|r| r.trace == ctx.trace));
         }
-        set_mode(TraceMode::Off);
-    }
-
-    #[test]
-    fn sampling_takes_one_in_n() {
-        let _l = lock();
-        set_mode(TraceMode::Sampled(4));
-        reset();
-        let sampled = (0..100).filter(|_| start_trace().is_sampled()).count();
-        assert_eq!(sampled, 25);
-        // Suppressed contexts do not let children record or re-sample.
-        let ctx = SpanContext {
-            trace: SUPPRESSED,
-            span: 0,
-        };
-        let _g = enter(ctx);
-        assert!(!span("child").is_recording());
         set_mode(TraceMode::Off);
     }
 
@@ -1214,15 +1171,9 @@ mod tests {
     }
 
     #[test]
-    fn tail_mode_env_parsing() {
+    fn tail_multiplier_rejects_nonsense() {
         // The multiplier is process-global state; hold the mode lock.
         let _l = lock();
-        // Parse logic only (the env var itself is read once, lazily).
-        assert!("tail:2.5"
-            .strip_prefix("tail:")
-            .unwrap()
-            .parse::<f64>()
-            .is_ok());
         flight::set_tail_multiplier(2.5);
         assert_eq!(flight::tail_multiplier(), 2.5);
         flight::set_tail_multiplier(f64::NAN);
@@ -1240,13 +1191,16 @@ mod tests {
     #[test]
     fn env_mode_parsing() {
         // Parse logic only (the env var itself is read once, lazily).
-        assert_eq!(
-            "sampled:16"
-                .strip_prefix("sampled:")
-                .unwrap()
-                .parse::<u64>()
-                .unwrap_or_default(),
-            16
-        );
+        assert_eq!(parse_mode("off"), Some((TraceMode::Off, None)));
+        assert_eq!(parse_mode(""), Some((TraceMode::Off, None)));
+        assert_eq!(parse_mode("ALL"), Some((TraceMode::All, None)));
+        assert_eq!(parse_mode("tail"), Some((TraceMode::Tail, None)));
+        assert_eq!(parse_mode("tail:2.5"), Some((TraceMode::Tail, Some(2.5))));
+        // Not a mode — including the head-sampling syntax of older
+        // builds: rejected; the caller warns and stays off.
+        assert_eq!(parse_mode("tail:x"), Some((TraceMode::Tail, None)));
+        for bad in ["sampled:16", "tailx", "verbose"] {
+            assert_eq!(parse_mode(bad), None, "{bad}");
+        }
     }
 }

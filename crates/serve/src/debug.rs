@@ -10,7 +10,7 @@
 //! | `/traces`      | JSON index of retained flight-recorder traces        |
 //! | `/traces/<id>` | one retained trace as Chrome trace JSON (404 if gone)|
 //! | `/events`      | structured event log, one JSON object per line       |
-//! | `/status`      | the [`ServeStats`](crate::ServeStats) table, as text  |
+//! | `/status`      | effective `NIMBLE_*` knobs, then the [`ServeStats`](crate::ServeStats) table |
 //!
 //! Built on `std::net::TcpListener` only — no HTTP library. The server
 //! reads just the request line (method + path), answers one response per
@@ -152,7 +152,7 @@ fn route(stream: &mut TcpStream, router: &Arc<Router>, path: &str) -> std::io::R
             stream,
             200,
             "text/plain; charset=utf-8",
-            &router.stats().to_string(),
+            &format!("{}\n{}", knobs_line(), router.stats()),
         ),
         _ => {
             if let Some(id) = path.strip_prefix("/traces/") {
@@ -168,6 +168,24 @@ fn route(stream: &mut TcpStream, router: &Arc<Router>, path: &str) -> std::io::R
             respond(stream, 404, "text/plain", "not found\n")
         }
     }
+}
+
+/// The effective value of each of the four process knobs, on one line —
+/// what the process resolved, not what the environment said (a rejected
+/// `NIMBLE_TRACE` shows `off`, an unavailable `NIMBLE_SIMD` the ISA in
+/// use).
+fn knobs_line() -> String {
+    let mut trace = format!("{:?}", nimble_obs::mode()).to_lowercase();
+    if trace == "tail" {
+        trace = format!("tail:{}", nimble_obs::flight::tail_multiplier());
+    }
+    let events = nimble_obs::events::event_sink_path();
+    format!(
+        "NIMBLE_TRACE={trace} NIMBLE_TRACE_DETAIL={} NIMBLE_SIMD={} NIMBLE_EVENTS_FILE={}",
+        format!("{:?}", nimble_obs::detail()).to_lowercase(),
+        nimble_tensor::pool::default_profile().isa().label(),
+        events.map_or("-".into(), |p| p.display().to_string()),
+    )
 }
 
 fn respond(
@@ -238,7 +256,8 @@ mod tests {
         assert_eq!(code, 200);
         let (code, body) = get(addr, "/status");
         assert_eq!(code, 200);
-        assert!(body.contains("model"));
+        assert!(body.starts_with("NIMBLE_TRACE="), "knob line first: {body}");
+        assert!(body.contains("NIMBLE_EVENTS_FILE=") && body.contains("\nmodel"));
         let (code, _) = get(addr, "/nope");
         assert_eq!(code, 404);
         let (code, _) = get(addr, "/traces/999999999");

@@ -15,13 +15,14 @@
 //!   ([`Rejected::QueueFull`] / [`Rejected::Expired`] /
 //!   [`Rejected::Unloaded`], never a silent drop), deadlines are honored
 //!   while queued, and shutdown drains accepted work to completion.
-//! * [`telemetry`] — lock-free log-bucketed latency [`Histogram`]s
-//!   (p50/p90/p99 from snapshots) and per-model outcome counters,
-//!   exported as a [`ServeStats`] snapshot.
+//! * [`telemetry`] — per-model outcome counters and lock-free latency
+//!   histograms ([`nimble_obs::hist::Histogram`]), snapshotted as
+//!   [`ServeStats`], and the one family table that both `/metrics` and
+//!   the stats printer walk.
 //!
 //! Orthogonally, every registered model gets a
 //! [`nimble_specialize::ModelSpecializer`] (unless disabled by
-//! [`RegistryConfig::specialize`] or `NIMBLE_SPECIALIZE=off`): a
+//! [`RegistryConfig::specialize`]): a
 //! hot-shape cache that observes the concrete values requests bind to
 //! `Any` dims, tunes shape-concretized kernels off the request path, and
 //! installs them behind a bitwise-identity gate. The replica picker's
@@ -49,9 +50,7 @@ pub use shard::{
     ShardStats, ShardTicket, WarmthProbe,
 };
 pub use slo::{BurnRateTracker, SloConfig, SloState, SloWatchdog, Transition};
-pub use telemetry::{
-    Histogram, HistogramSnapshot, ModelStats, ModelTelemetry, ServeStats, Telemetry,
-};
+pub use telemetry::{LiveStats, ModelStats, ModelTelemetry, ServeStats, Telemetry};
 
 /// Errors raised by the registry (compile/load/IO failures and unknown
 /// models). Request-path refusals use [`Rejected`] instead.

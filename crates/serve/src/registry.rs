@@ -45,8 +45,9 @@ pub struct RegistryConfig {
     /// Device set shared by all models' VMs.
     pub devices: Arc<DeviceSet>,
     /// Shape-specialization knobs given to every model; `None` disables
-    /// the subsystem, as does `NIMBLE_SPECIALIZE=off` at registration
-    /// time. The default attaches a specializer with default budgets.
+    /// the subsystem (the symbolic-only reference the specialization
+    /// differentials compare against). The default attaches a specializer
+    /// with default budgets.
     pub specialize: Option<SpecializeConfig>,
 }
 
@@ -280,7 +281,7 @@ impl ModelRegistry {
     /// every replica of this model coalesces same-bucket requests into
     /// padded batched executions (the module must carry the matching
     /// `main_b{bucket}` entry points — see `nimble_vm::batch::entry_name`).
-    /// `None` serves unbatched, as does `NIMBLE_BATCH=off`.
+    /// `None` serves unbatched.
     ///
     /// # Errors
     /// Propagates compile and load failures; the previous registration

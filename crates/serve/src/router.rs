@@ -19,13 +19,12 @@
 
 use crate::registry::ModelRegistry;
 use crate::telemetry::{
-    HistogramSnapshot, ModelStats, ModelTelemetry, ServeStats, Telemetry, EXEMPLAR_LE_NS,
+    as_ns, bump, render_metrics, LiveStats, ModelTelemetry, ServeStats, Telemetry,
 };
 use nimble_core::{Completion, EngineError};
 use nimble_device::DeviceId;
-use nimble_obs::export::{register_collector, CollectorHandle, PromBuf};
+use nimble_obs::export::{register_collector, CollectorHandle};
 use nimble_obs::{Category as ObsCat, SpanContext};
-use nimble_specialize::SpecializeStats;
 use nimble_vm::Object;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -176,14 +175,17 @@ impl ServeTicket {
         let (result, outcome_code) = match outcome.result {
             Ok(completion) => {
                 let ok = completion.result.is_ok();
-                queued_ns = Some(completion.queued.as_nanos().min(u128::from(u64::MAX)) as u64);
-                self.telemetry.record_queue(completion.queued);
-                self.telemetry.record_completed(completion.latency, ok);
-                self.telemetry.record_batch_size(completion.batch_size);
+                queued_ns = Some(as_ns(completion.queued));
+                self.telemetry.record_completed(
+                    ok,
+                    completion.queued,
+                    completion.latency,
+                    completion.batch_size,
+                );
                 (Ok(completion), if ok { 0 } else { 1 })
             }
             Err(EngineError::Expired) => {
-                self.telemetry.record_expired();
+                bump(&self.telemetry.expired);
                 (Err(Rejected::Expired), 2)
             }
             Err(_) => {
@@ -246,9 +248,9 @@ impl std::fmt::Debug for Router {
 
 impl Router {
     /// A router over `registry`. Registers a Prometheus collector so
-    /// [`nimble_obs::export::prometheus`] includes this router's serve
-    /// histograms, arena/pool counters, and VM profile for as long as the
-    /// router lives.
+    /// [`nimble_obs::export::prometheus`] includes every serving metric
+    /// family (one walk of the family table over [`Router::stats`]) for as
+    /// long as the router lives.
     pub fn new(registry: Arc<ModelRegistry>, config: RouterConfig) -> Router {
         let telemetry = Arc::new(Telemetry::default());
         let collector = {
@@ -256,7 +258,7 @@ impl Router {
             let registry = Arc::downgrade(&registry);
             register_collector(move |buf| {
                 if let (Some(t), Some(r)) = (telemetry.upgrade(), registry.upgrade()) {
-                    collect_serve_metrics(&t, &r, buf);
+                    render_metrics(&serve_stats(&t, &r), buf);
                 }
             })
         };
@@ -281,7 +283,9 @@ impl Router {
     /// The latest per-model SLO watchdog state, when the watchdog is
     /// running (`config.slo` set); `None` otherwise.
     pub fn slo_state(&self) -> Option<BTreeMap<String, crate::slo::SloState>> {
-        self.slo.lock().unwrap().as_ref().map(|w| w.state())
+        self.slo.lock().unwrap().as_ref()?;
+        let models = self.telemetry.snapshot().models.into_iter();
+        Some(models.filter_map(|(k, m)| Some((k, m.slo?))).collect())
     }
 
     /// The registry this router dispatches into.
@@ -312,16 +316,16 @@ impl Router {
     ) -> Result<ServeTicket, Rejected> {
         let telemetry = self.telemetry.model(model);
         if self.draining.load(Ordering::Acquire) {
-            telemetry.record_rejected_shutdown();
+            bump(&telemetry.rejected_shutdown);
             return Err(Rejected::ShuttingDown);
         }
         let Some(entry) = self.registry.get(model) else {
-            telemetry.record_rejected_unloaded();
+            bump(&telemetry.rejected_unloaded);
             return Err(Rejected::Unloaded);
         };
         if let Some(d) = deadline {
             if d <= Instant::now() {
-                telemetry.record_rejected_expired();
+                bump(&telemetry.rejected_expired);
                 return Err(Rejected::Expired);
             }
         }
@@ -350,7 +354,7 @@ impl Router {
         };
         match admitted {
             Ok(ticket) => {
-                telemetry.record_accepted();
+                bump(&telemetry.accepted);
                 Ok(ServeTicket {
                     ticket,
                     telemetry,
@@ -361,7 +365,7 @@ impl Router {
                 })
             }
             Err(EngineError::Busy) => {
-                telemetry.record_rejected_queue_full();
+                bump(&telemetry.rejected_queue_full);
                 rejected(4);
                 nimble_obs::flight::finish_shed(ctx, model, "shed_queue_full");
                 Err(Rejected::QueueFull)
@@ -369,7 +373,7 @@ impl Router {
             // The entry's engine drained between `get` and admission
             // (hot-swap or unload race): same answer as not-loaded.
             Err(_) => {
-                telemetry.record_rejected_unloaded();
+                bump(&telemetry.rejected_unloaded);
                 rejected(4);
                 nimble_obs::flight::finish_shed(ctx, model, "shed_unloaded");
                 Err(Rejected::Unloaded)
@@ -385,13 +389,13 @@ impl Router {
         self.submit(model, args)?.wait()
     }
 
-    /// Snapshot every model's counters and latency histogram. Live
-    /// models' storage-arena counters (allocation hits/misses, recycled
-    /// bytes, high-water mark) are refreshed from their engines first;
-    /// unloaded models keep their last-recorded arena numbers as history.
+    /// Snapshot every model's counters and distributions. Loaded models
+    /// additionally carry their live engine/shard/pool/specializer state
+    /// ([`LiveStats`]), and their storage-arena counters and VM profile
+    /// are refreshed from their engines first; unloaded models keep their
+    /// last-recorded arena and profile numbers as history.
     pub fn stats(&self) -> ServeStats {
-        refresh_engine_telemetry(&self.telemetry, &self.registry);
-        self.telemetry.snapshot()
+        serve_stats(&self.telemetry, &self.registry)
     }
 
     /// Render the unified Prometheus exposition (obs core metrics plus
@@ -417,549 +421,36 @@ impl Router {
     }
 }
 
-/// Pull live engines' arena counters and VM profiles into the per-model
-/// telemetry (unloaded models keep their last-recorded values).
-fn refresh_engine_telemetry(telemetry: &Telemetry, registry: &ModelRegistry) {
+/// The one stats walk behind [`Router::stats`], `/status` and `/metrics`:
+/// pull each loaded model's arena counters and VM profile into its
+/// telemetry (unloaded models keep their last-recorded values), snapshot,
+/// and attach what only a live registry entry can report.
+fn serve_stats(telemetry: &Telemetry, registry: &ModelRegistry) -> ServeStats {
+    let mut live = Vec::new();
     for (name, _) in registry.list() {
-        if let Some(entry) = registry.get(&name) {
-            let t = telemetry.model(&name);
-            t.record_arena(entry.shards().arena_stats());
-            t.record_profile(entry.shards().profile_report());
+        let Some(entry) = registry.get(&name) else {
+            continue;
+        };
+        let shards = entry.shards();
+        let t = telemetry.model(&name);
+        t.record_arena(shards.arena_stats());
+        t.record_profile(shards.profile_report());
+        let devices = entry.vm().devices();
+        let stats = LiveStats {
+            engine: shards.engine_stats(),
+            shards: shards.stats(),
+            pools: [DeviceId::Cpu, DeviceId::Gpu].map(|d| devices.pool(d).stats()),
+            specialize: entry.specializer().map(|s| s.stats()),
+        };
+        live.push((name, stats));
+    }
+    let mut snap = telemetry.snapshot();
+    for (name, stats) in live {
+        if let Some(m) = snap.models.get_mut(&name) {
+            m.live = Some(stats);
         }
     }
-}
-
-/// Emit one latency histogram per model as a Prometheus summary family.
-fn prom_summary(
-    buf: &mut PromBuf,
-    name: &str,
-    help: &str,
-    models: &BTreeMap<String, ModelStats>,
-    pick: impl Fn(&ModelStats) -> &HistogramSnapshot,
-) {
-    buf.header(name, help, "summary");
-    for (model, m) in models {
-        let h = pick(m);
-        for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-            buf.sample_f64(
-                name,
-                &[("model", model), ("quantile", label)],
-                h.quantile(q).as_secs_f64(),
-            );
-        }
-        buf.sample_f64(
-            &format!("{name}_sum"),
-            &[("model", model)],
-            h.sum().as_secs_f64(),
-        );
-        buf.sample_u64(&format!("{name}_count"), &[("model", model)], h.count());
-    }
-}
-
-/// Emit one cumulative-bucket histogram family per model over the coarse
-/// [`EXEMPLAR_LE_NS`] ladder, attaching each bucket's retained-trace
-/// exemplar (OpenMetrics `# {trace_id="..."} value` syntax) when one has
-/// been captured. Bucket counts come from [`HistogramSnapshot::count_le`],
-/// so they are bucket-granular, monotone non-decreasing in `le`, and the
-/// `+Inf` bucket equals the sample count.
-fn prom_exemplar_hist(
-    buf: &mut PromBuf,
-    name: &str,
-    help: &str,
-    models: &BTreeMap<String, ModelStats>,
-    pick: impl Fn(&ModelStats) -> (&HistogramSnapshot, &[(u64, u64); 8]),
-) {
-    buf.header(name, help, "histogram");
-    let bucket = format!("{name}_bucket");
-    for (model, m) in models {
-        let (h, exemplars) = pick(m);
-        for (i, &le_ns) in EXEMPLAR_LE_NS.iter().enumerate() {
-            let last = i == EXEMPLAR_LE_NS.len() - 1;
-            let le_label = if last {
-                "+Inf".to_string()
-            } else {
-                format!("{}", le_ns as f64 / 1e9)
-            };
-            let count = if last { h.count() } else { h.count_le(le_ns) };
-            let labels = [("model", model.as_str()), ("le", le_label.as_str())];
-            let (trace, value_ns) = exemplars[i];
-            if trace != 0 {
-                let trace_id = trace.to_string();
-                buf.sample_with_exemplar(
-                    &bucket,
-                    &labels,
-                    count,
-                    &[("trace_id", &trace_id)],
-                    value_ns as f64 / 1e9,
-                );
-            } else {
-                buf.sample_u64(&bucket, &labels, count);
-            }
-        }
-        buf.sample_f64(
-            &format!("{name}_sum"),
-            &[("model", model)],
-            h.sum().as_secs_f64(),
-        );
-        buf.sample_u64(&format!("{name}_count"), &[("model", model)], h.count());
-    }
-}
-
-/// The router's Prometheus collector body: serve outcome counters and
-/// latency/queue summaries, storage-arena and device-pool memory
-/// counters, engine queue depth and queue/exec time, and the VM profile
-/// (bucket and per-opcode time) — all from the same run, unified in one
-/// exposition.
-fn collect_serve_metrics(telemetry: &Telemetry, registry: &ModelRegistry, buf: &mut PromBuf) {
-    refresh_engine_telemetry(telemetry, registry);
-    let snap = telemetry.snapshot();
-
-    buf.header(
-        "nimble_serve_requests_total",
-        "Serve request outcomes by model",
-        "counter",
-    );
-    for (model, m) in &snap.models {
-        for (outcome, v) in [
-            ("accepted", m.accepted),
-            ("completed", m.completed),
-            ("failed", m.failed),
-            ("expired", m.expired),
-            ("lost", m.lost),
-            ("rejected_queue_full", m.rejected_queue_full),
-            ("rejected_expired", m.rejected_expired),
-            ("rejected_unloaded", m.rejected_unloaded),
-            ("rejected_shutdown", m.rejected_shutdown),
-        ] {
-            buf.sample_u64(
-                "nimble_serve_requests_total",
-                &[("model", model), ("outcome", outcome)],
-                v,
-            );
-        }
-    }
-    prom_summary(
-        buf,
-        "nimble_serve_latency_seconds",
-        "End-to-end latency of completed requests",
-        &snap.models,
-        |m| &m.latency,
-    );
-    prom_summary(
-        buf,
-        "nimble_serve_queue_seconds",
-        "Queue wait from admission to worker pickup",
-        &snap.models,
-        |m| &m.queue,
-    );
-    prom_exemplar_hist(
-        buf,
-        "nimble_serve_latency_hist_seconds",
-        "End-to-end latency ladder with flight-recorder exemplars",
-        &snap.models,
-        |m| (&m.latency, &m.latency_exemplars),
-    );
-    prom_exemplar_hist(
-        buf,
-        "nimble_serve_queue_hist_seconds",
-        "Queue-wait ladder with flight-recorder exemplars",
-        &snap.models,
-        |m| (&m.queue, &m.queue_exemplars),
-    );
-
-    buf.header(
-        "nimble_arena_hit_rate",
-        "Fraction of storage allocations served from the arena",
-        "gauge",
-    );
-    for (model, m) in &snap.models {
-        buf.sample_f64(
-            "nimble_arena_hit_rate",
-            &[("model", model)],
-            m.arena.hit_rate(),
-        );
-    }
-    for (name, help, pick) in [
-        (
-            "nimble_arena_live_bytes",
-            "Bytes currently checked out of the arena",
-            (|a: &nimble_core::ArenaStats| a.live_bytes) as fn(&nimble_core::ArenaStats) -> u64,
-        ),
-        (
-            "nimble_arena_high_water_bytes",
-            "High-water mark of live arena bytes",
-            |a| a.high_water_bytes,
-        ),
-        (
-            "nimble_arena_retained_bytes",
-            "Bytes parked in the arena free lists",
-            |a| a.retained_bytes,
-        ),
-    ] {
-        buf.header(name, help, "gauge");
-        for (model, m) in &snap.models {
-            buf.sample_u64(name, &[("model", model)], pick(&m.arena));
-        }
-    }
-
-    buf.header(
-        "nimble_vm_time_seconds",
-        "VM execution time by profile bucket",
-        "counter",
-    );
-    for (model, m) in &snap.models {
-        for (bucket, ns) in [
-            ("kernel", m.profile.kernel_ns),
-            ("shape_func", m.profile.shape_func_ns),
-            ("other", m.profile.other_ns),
-        ] {
-            buf.sample_f64(
-                "nimble_vm_time_seconds",
-                &[("model", model), ("bucket", bucket)],
-                ns as f64 / 1e9,
-            );
-        }
-    }
-    buf.header(
-        "nimble_vm_instructions_total",
-        "Bytecode instructions executed",
-        "counter",
-    );
-    for (model, m) in &snap.models {
-        buf.sample_u64(
-            "nimble_vm_instructions_total",
-            &[("model", model)],
-            m.profile.instructions,
-        );
-    }
-    buf.header(
-        "nimble_vm_kernel_invocations_total",
-        "Compute-kernel invocations",
-        "counter",
-    );
-    for (model, m) in &snap.models {
-        buf.sample_u64(
-            "nimble_vm_kernel_invocations_total",
-            &[("model", model)],
-            m.profile.kernel_invocations,
-        );
-    }
-    buf.header(
-        "nimble_vm_opcode_seconds",
-        "Accumulated time of the top-5 opcodes by time",
-        "counter",
-    );
-    for (model, m) in &snap.models {
-        for op in m.profile.top_opcodes(5) {
-            buf.sample_f64(
-                "nimble_vm_opcode_seconds",
-                &[("model", model), ("opcode", op.name)],
-                op.ns as f64 / 1e9,
-            );
-        }
-    }
-
-    buf.header(
-        "nimble_serve_requeued_total",
-        "Re-admissions after a replica died holding the request",
-        "counter",
-    );
-    for (model, m) in &snap.models {
-        buf.sample_u64(
-            "nimble_serve_requeued_total",
-            &[("model", model)],
-            m.requeued,
-        );
-    }
-
-    buf.header(
-        "nimble_batch_requests_total",
-        "Completed requests by serving mode (batched = rode in a batch of >1)",
-        "counter",
-    );
-    for (model, m) in &snap.models {
-        for (mode, v) in [("batched", m.batched), ("unbatched", m.unbatched)] {
-            buf.sample_u64(
-                "nimble_batch_requests_total",
-                &[("model", model), ("mode", mode)],
-                v,
-            );
-        }
-    }
-    buf.header(
-        "nimble_batch_size",
-        "Batch size each completed request was served at (1 = unbatched)",
-        "summary",
-    );
-    for (model, m) in &snap.models {
-        let h = &m.batch_size;
-        for (q, label) in [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")] {
-            buf.sample_u64(
-                "nimble_batch_size",
-                &[("model", model), ("quantile", label)],
-                h.quantile(q).as_nanos() as u64,
-            );
-        }
-        buf.sample_u64(
-            "nimble_batch_size_sum",
-            &[("model", model)],
-            h.sum().as_nanos() as u64,
-        );
-        buf.sample_u64("nimble_batch_size_count", &[("model", model)], h.count());
-    }
-
-    // Engine queue/exec split (summed across replicas), per-replica rows,
-    // and device-pool memory come straight from the live entries (they
-    // have no history once a model is unloaded).
-    let mut rows = Vec::new();
-    let mut shard_rows = Vec::new();
-    for (name, _) in registry.list() {
-        if let Some(entry) = registry.get(&name) {
-            let stats = entry.shards().engine_stats();
-            let devices = entry.vm().devices();
-            let cpu = devices.pool(DeviceId::Cpu).stats();
-            let gpu = devices.pool(DeviceId::Gpu).stats();
-            shard_rows.push((name.clone(), entry.shards().stats()));
-            rows.push((name, stats, cpu, gpu));
-        }
-    }
-    buf.header(
-        "nimble_shard_replicas",
-        "Live engine replicas serving the model",
-        "gauge",
-    );
-    for (model, ss) in &shard_rows {
-        buf.sample_u64(
-            "nimble_shard_replicas",
-            &[("model", model)],
-            ss.replicas.len() as u64,
-        );
-    }
-    buf.header(
-        "nimble_replica_queue_depth",
-        "Requests waiting in one replica's queue",
-        "gauge",
-    );
-    for (model, ss) in &shard_rows {
-        for r in &ss.replicas {
-            let id = r.id.to_string();
-            buf.sample_u64(
-                "nimble_replica_queue_depth",
-                &[("model", model), ("replica", &id)],
-                r.engine.queue_depth,
-            );
-        }
-    }
-    buf.header(
-        "nimble_replica_accepted_total",
-        "Requests admitted to one replica (requeues included)",
-        "counter",
-    );
-    for (model, ss) in &shard_rows {
-        for r in &ss.replicas {
-            let id = r.id.to_string();
-            buf.sample_u64(
-                "nimble_replica_accepted_total",
-                &[("model", model), ("replica", &id)],
-                r.accepted,
-            );
-        }
-    }
-    buf.header(
-        "nimble_shard_events_total",
-        "Replica lifecycle events since model registration",
-        "counter",
-    );
-    for (model, ss) in &shard_rows {
-        let (added, retired, killed) = ss.event_counts();
-        for (event, v) in [("added", added), ("retired", retired), ("killed", killed)] {
-            buf.sample_u64(
-                "nimble_shard_events_total",
-                &[("model", model), ("event", event)],
-                v,
-            );
-        }
-    }
-    buf.header(
-        "nimble_engine_queue_depth",
-        "Requests waiting in the engine queue",
-        "gauge",
-    );
-    for (model, es, _, _) in &rows {
-        buf.sample_u64(
-            "nimble_engine_queue_depth",
-            &[("model", model)],
-            es.queue_depth,
-        );
-    }
-    buf.header(
-        "nimble_engine_queue_seconds_total",
-        "Cumulative queue-wait time across completed requests",
-        "counter",
-    );
-    for (model, es, _, _) in &rows {
-        buf.sample_f64(
-            "nimble_engine_queue_seconds_total",
-            &[("model", model)],
-            es.total_queue_ns as f64 / 1e9,
-        );
-    }
-    buf.header(
-        "nimble_engine_exec_seconds_total",
-        "Cumulative pure execution time across completed requests",
-        "counter",
-    );
-    for (model, es, _, _) in &rows {
-        buf.sample_f64(
-            "nimble_engine_exec_seconds_total",
-            &[("model", model)],
-            es.total_execution_ns as f64 / 1e9,
-        );
-    }
-    buf.header(
-        "nimble_batches_formed_total",
-        "Padded batches executed (summed across replicas)",
-        "counter",
-    );
-    for (model, es, _, _) in &rows {
-        buf.sample_u64(
-            "nimble_batches_formed_total",
-            &[("model", model)],
-            es.batches_formed,
-        );
-    }
-    buf.header(
-        "nimble_batch_pad_waste_ratio",
-        "Fraction of gathered batch units that were padding",
-        "gauge",
-    );
-    for (model, es, _, _) in &rows {
-        buf.sample_f64(
-            "nimble_batch_pad_waste_ratio",
-            &[("model", model)],
-            es.pad_waste_ratio(),
-        );
-    }
-    for (name, help, kind, pick) in [
-        (
-            "nimble_pool_live_bytes",
-            "Bytes currently live in the device memory pool",
-            "gauge",
-            (|p: &nimble_device::PoolStats| p.live_bytes) as fn(&nimble_device::PoolStats) -> u64,
-        ),
-        (
-            "nimble_pool_peak_live_bytes",
-            "High-water mark of live pool bytes",
-            "gauge",
-            |p| p.peak_live_bytes,
-        ),
-        (
-            "nimble_pool_allocs_total",
-            "Allocation requests served by the pool",
-            "counter",
-            |p| p.allocs,
-        ),
-        (
-            "nimble_pool_hits_total",
-            "Allocations served from the pool free list",
-            "counter",
-            |p| p.pool_hits,
-        ),
-        (
-            "nimble_pool_frees_total",
-            "Blocks returned to the pool",
-            "counter",
-            |p| p.frees,
-        ),
-    ] {
-        buf.header(name, help, kind);
-        for (model, _, cpu, gpu) in &rows {
-            buf.sample_u64(name, &[("model", model), ("device", "cpu")], pick(cpu));
-            buf.sample_u64(name, &[("model", model), ("device", "gpu")], pick(gpu));
-        }
-    }
-
-    // Shape-specialization counters, cache size, and tune-time histogram
-    // from each live model's specializer (models serving without one —
-    // disabled, or no dense anchors — emit nothing).
-    let mut spec_rows = Vec::new();
-    for (name, _) in registry.list() {
-        if let Some(entry) = registry.get(&name) {
-            if let Some(spec) = entry.specializer() {
-                spec_rows.push((name, spec.stats()));
-            }
-        }
-    }
-    if !spec_rows.is_empty() {
-        for (metric, help, pick) in [
-            (
-                "nimble_specialize_hits_total",
-                "Dispatches served by an installed specialized kernel",
-                (|s: &SpecializeStats| s.hits) as fn(&SpecializeStats) -> u64,
-            ),
-            (
-                "nimble_specialize_misses_total",
-                "Dispatches on specializable kernels that ran the symbolic fallback",
-                |s| s.misses,
-            ),
-            (
-                "nimble_specialize_installs_total",
-                "Specialized kernels installed after passing the bitwise probe",
-                |s| s.installs,
-            ),
-            (
-                "nimble_specialize_evictions_total",
-                "Hot-shape cache entries evicted (LRU or teardown)",
-                |s| s.evictions,
-            ),
-        ] {
-            buf.header(metric, help, "counter");
-            for (model, s) in &spec_rows {
-                buf.sample_u64(metric, &[("model", model)], pick(s));
-            }
-        }
-        buf.header(
-            "nimble_specialize_cache_size",
-            "Shapes currently tracked by the hot-shape cache",
-            "gauge",
-        );
-        for (model, s) in &spec_rows {
-            buf.sample_u64(
-                "nimble_specialize_cache_size",
-                &[("model", model)],
-                s.cache_len as u64,
-            );
-        }
-        buf.header(
-            "nimble_specialize_tune_seconds",
-            "Background tune duration (search + bitwise probe)",
-            "histogram",
-        );
-        for (model, s) in &spec_rows {
-            for (le, count) in &s.tune_hist.cumulative {
-                let le = if le.is_infinite() {
-                    "+Inf".to_string()
-                } else {
-                    format!("{le}")
-                };
-                buf.sample_u64(
-                    "nimble_specialize_tune_seconds_bucket",
-                    &[("model", model), ("le", &le)],
-                    *count,
-                );
-            }
-            buf.sample_f64(
-                "nimble_specialize_tune_seconds_sum",
-                &[("model", model)],
-                s.tune_hist.sum_seconds,
-            );
-            buf.sample_u64(
-                "nimble_specialize_tune_seconds_count",
-                &[("model", model)],
-                s.tune_hist.count,
-            );
-        }
-    }
+    snap
 }
 
 #[cfg(test)]

@@ -516,9 +516,14 @@ impl ShardSet {
         // First sight of a concrete shape key is always interesting: pin
         // the admitting request's flight buffer so the trace that
         // exercised the new shape is retained regardless of its latency.
-        if let Some(rows) = rows_key(&args) {
-            if self.seen_shapes.lock().unwrap().insert(rows as u64) {
-                nimble_obs::flight::pin(nimble_obs::current(), nimble_obs::flight::PIN_NEW_SHAPE);
+        // Only a traced request has a buffer to pin, so the untraced path
+        // hashes no key and takes no lock.
+        let ctx = nimble_obs::current();
+        if ctx.is_sampled() {
+            if let Some(rows) = rows_key(&args) {
+                if self.seen_shapes.lock().unwrap().insert(rows as u64) {
+                    nimble_obs::flight::pin(ctx, nimble_obs::flight::PIN_NEW_SHAPE);
+                }
             }
         }
         Ok(ShardTicket {

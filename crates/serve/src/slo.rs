@@ -18,15 +18,15 @@
 //!
 //! [`BurnRateTracker`] is pure state-machine logic (proptested in
 //! `tests/slo_props.rs`); [`SloWatchdog`] is the cadence thread that
-//! feeds it from [`Telemetry`] snapshots, exports `nimble_slo_*` gauges,
-//! and emits `slo_alert` / `slo_clear` events.
+//! feeds it from [`Telemetry`] snapshots, publishes each model's
+//! [`SloState`] back into its telemetry (the `nimble_slo_*` rows of the
+//! family table read it), and emits `slo_alert` / `slo_clear` events.
 
-use crate::telemetry::{ModelStats, Telemetry};
+use crate::telemetry::{as_ns, ModelStats, Telemetry};
 use nimble_obs::events::{emit, FieldVal};
-use nimble_obs::export::{register_collector, CollectorHandle, PromBuf};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Watchdog shape: objective, windows, thresholds, cadence.
@@ -182,16 +182,16 @@ impl BurnRateTracker {
 /// `completed` and reduced by every failure.
 pub(crate) fn good_total(stats: &ModelStats, target: Duration) -> (u64, u64) {
     let total = stats.terminal();
-    let within = stats
-        .latency
-        .count_le(target.as_nanos().min(u128::from(u64::MAX)) as u64);
+    let within = stats.latency.count_le(as_ns(target));
     let good = within.saturating_sub(stats.failed).min(stats.completed);
     (good, total)
 }
 
-/// Per-model published state, readable by the Prometheus collector.
+/// Per-model published state, exposed as the `nimble_slo_*` families.
 #[derive(Debug, Clone, Default)]
 pub struct SloState {
+    /// Configured good-request objective.
+    pub objective: f64,
     /// Fast-window burn rate (NaN when unknown).
     pub fast_burn: f64,
     /// Slow-window burn rate (NaN when unknown).
@@ -201,15 +201,15 @@ pub struct SloState {
 }
 
 /// The watchdog cadence thread: snapshots [`Telemetry`] every
-/// `interval`, feeds each model's [`BurnRateTracker`], publishes
-/// `nimble_slo_*` gauges, and emits `slo_alert`/`slo_clear` events on
-/// transitions. Holds only a weak telemetry reference; stops (and joins)
-/// when dropped.
+/// `interval`, feeds each model's [`BurnRateTracker`], publishes the
+/// resulting [`SloState`] into the model's telemetry, and emits
+/// `slo_alert`/`slo_clear` events on transitions. Holds only a weak
+/// telemetry reference; stops (and joins) when dropped, and withdraws the
+/// published states on the way out so a stopped watchdog leaves no stale
+/// alert behind.
 pub struct SloWatchdog {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
-    state: Arc<Mutex<BTreeMap<String, SloState>>>,
-    _collector: CollectorHandle,
 }
 
 impl std::fmt::Debug for SloWatchdog {
@@ -222,18 +222,7 @@ impl SloWatchdog {
     /// Spawn the watchdog over `telemetry`.
     pub(crate) fn spawn(telemetry: &Arc<Telemetry>, config: SloConfig) -> SloWatchdog {
         let stop = Arc::new(AtomicBool::new(false));
-        let state: Arc<Mutex<BTreeMap<String, SloState>>> = Arc::default();
-        let collector = {
-            let state = Arc::downgrade(&state);
-            let objective = config.objective;
-            register_collector(move |buf| {
-                if let Some(state) = state.upgrade() {
-                    collect_slo_metrics(&state.lock().unwrap(), objective, buf);
-                }
-            })
-        };
         let flag = Arc::clone(&stop);
-        let published = Arc::clone(&state);
         let telemetry = Arc::downgrade(telemetry);
         let handle = std::thread::Builder::new()
             .name("nimble-slo".to_string())
@@ -254,17 +243,18 @@ impl SloWatchdog {
                         return;
                     };
                     let snap = telemetry.snapshot();
-                    let mut state = published.lock().unwrap();
                     for (name, stats) in &snap.models {
                         let tracker = trackers
                             .entry(name.clone())
                             .or_insert_with(|| BurnRateTracker::new(&config));
                         let (good, total) = good_total(stats, config.latency_target);
                         let transition = tracker.observe(good, total);
-                        let entry = state.entry(name.clone()).or_default();
-                        entry.fast_burn = tracker.fast_burn().unwrap_or(f64::NAN);
-                        entry.slow_burn = tracker.slow_burn().unwrap_or(f64::NAN);
-                        entry.alerting = tracker.alerting();
+                        let entry = SloState {
+                            objective: config.objective,
+                            fast_burn: tracker.fast_burn().unwrap_or(f64::NAN),
+                            slow_burn: tracker.slow_burn().unwrap_or(f64::NAN),
+                            alerting: tracker.alerting(),
+                        };
                         if let Some(t) = transition {
                             let kind = match t {
                                 Transition::Alert => "slo_alert",
@@ -280,6 +270,12 @@ impl SloWatchdog {
                                 ],
                             );
                         }
+                        telemetry.model(name).record_slo(Some(entry));
+                    }
+                }
+                if let Some(telemetry) = telemetry.upgrade() {
+                    for name in trackers.keys() {
+                        telemetry.model(name).record_slo(None);
                     }
                 }
             })
@@ -287,14 +283,7 @@ impl SloWatchdog {
         SloWatchdog {
             stop,
             handle: Some(handle),
-            state,
-            _collector: collector,
         }
-    }
-
-    /// The latest published per-model state.
-    pub fn state(&self) -> BTreeMap<String, SloState> {
-        self.state.lock().unwrap().clone()
     }
 
     pub(crate) fn stop(&mut self) {
@@ -308,49 +297,6 @@ impl SloWatchdog {
 impl Drop for SloWatchdog {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn collect_slo_metrics(state: &BTreeMap<String, SloState>, objective: f64, buf: &mut PromBuf) {
-    if state.is_empty() {
-        return;
-    }
-    buf.header(
-        "nimble_slo_objective",
-        "Configured good-request objective",
-        "gauge",
-    );
-    for model in state.keys() {
-        buf.sample_f64("nimble_slo_objective", &[("model", model)], objective);
-    }
-    buf.header(
-        "nimble_slo_burn_rate",
-        "Error-budget burn rate per window (NaN until the window fills)",
-        "gauge",
-    );
-    for (model, s) in state {
-        buf.sample_f64(
-            "nimble_slo_burn_rate",
-            &[("model", model), ("window", "fast")],
-            s.fast_burn,
-        );
-        buf.sample_f64(
-            "nimble_slo_burn_rate",
-            &[("model", model), ("window", "slow")],
-            s.slow_burn,
-        );
-    }
-    buf.header(
-        "nimble_slo_alert",
-        "1 while the model's burn rate is in the alerting state",
-        "gauge",
-    );
-    for (model, s) in state {
-        buf.sample_u64(
-            "nimble_slo_alert",
-            &[("model", model)],
-            u64::from(s.alerting),
-        );
     }
 }
 
@@ -412,14 +358,12 @@ mod tests {
 
     #[test]
     fn good_total_derivation() {
-        use crate::telemetry::ModelTelemetry;
+        use crate::telemetry::{bump, ModelTelemetry};
         let t = ModelTelemetry::default();
-        t.record_accepted();
-        t.record_completed(Duration::from_millis(1), true);
-        t.record_accepted();
-        t.record_completed(Duration::from_millis(500), true); // slow
-        t.record_accepted();
-        t.record_expired();
+        let ms = Duration::from_millis;
+        t.record_completed(true, ms(0), ms(1), 1);
+        t.record_completed(true, ms(0), ms(500), 1); // slow
+        bump(&t.expired);
         let stats = t.snapshot();
         let (good, total) = good_total(&stats, Duration::from_millis(100));
         assert_eq!(total, 3);

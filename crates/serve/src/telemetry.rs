@@ -1,58 +1,35 @@
-//! Lock-free serving telemetry: log-bucketed latency histograms and
-//! per-model outcome counters.
+//! Serving telemetry: per-model outcome counters and latency
+//! distributions, and the one table that exposes them.
 //!
 //! Every recording path is a handful of relaxed atomic increments — no
 //! locks, no allocation — so workers and clients can record from any
-//! thread without contending. Reading is done through snapshots:
-//! [`Histogram::snapshot`] copies the bucket array once, and quantiles
-//! (p50/p90/p99) are computed from the copy, so a reader never blocks a
-//! writer and a writer never skews a read mid-scan.
+//! thread without contending. Distributions are
+//! [`nimble_obs::hist::Histogram`]s (latency and queue wait in
+//! nanoseconds, batch size in members); reading goes through snapshots,
+//! so a reader never blocks a writer.
 //!
-//! The histogram is log-linear (HDR-style): each power-of-two octave of
-//! nanoseconds is split into [`SUB`] linear sub-buckets, giving a worst
-//! case quantile error of about `1/SUB` (25%) over a range of nanoseconds
-//! to hours in 252 buckets — the standard trade for fixed-size, lock-free
-//! recording.
+//! [`ModelStats`] is the one snapshot of a model, and [`FAMILIES`] is
+//! the one place a metric is declared: each row names a Prometheus family
+//! and reads its series out of a `ModelStats`. The `/metrics` exposition
+//! ([`render_metrics`]) and the [`ServeStats`] table printer both walk
+//! that table, so a new counter is one new row.
 
-use nimble_core::ArenaStats;
+use crate::shard::ShardStats;
+use crate::slo::SloState;
+use nimble_core::{ArenaStats, EngineStats};
+use nimble_device::PoolStats;
+use nimble_obs::export::PromBuf;
+use nimble_obs::hist::{Histogram, HistogramSnapshot};
+use nimble_specialize::SpecializeStats;
 use nimble_vm::ProfileReport;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Duration;
 
-/// Sub-buckets per power-of-two octave (must be a power of two).
-const SUB: u64 = 4;
-const SUB_BITS: u32 = 2;
-/// Bucket count: values up to `u64::MAX` ns map below this.
-const BUCKETS: usize = ((64 - SUB_BITS as usize) << SUB_BITS as usize) + SUB as usize;
-
-/// Bucket index for a nanosecond value (monotone in `v`).
-fn bucket_index(v: u64) -> usize {
-    if v < SUB {
-        return v as usize;
-    }
-    let msb = 63 - v.leading_zeros();
-    let major = (msb - SUB_BITS + 1) as u64;
-    let sub = (v >> (msb - SUB_BITS)) & (SUB - 1);
-    (major * SUB + sub) as usize
-}
-
-/// Smallest nanosecond value mapping to bucket `idx` (inverse of
-/// [`bucket_index`] on bucket floors).
-fn bucket_floor(idx: usize) -> u64 {
-    let idx = idx as u64;
-    if idx < SUB {
-        return idx;
-    }
-    let major = idx >> SUB_BITS;
-    let sub = idx & (SUB - 1);
-    (SUB + sub) << (major - 1)
-}
-
-/// Coarse latency ladder (ns) used for the OpenMetrics bucket exposition
-/// and its exemplars: 1ms, 5ms, 10ms, 50ms, 100ms, 500ms, 1s, +Inf.
-pub const EXEMPLAR_LE_NS: [u64; 8] = [
+/// `le` ladder (ns) of the latency and queue-wait histogram families,
+/// and of their exemplars: 1ms, 5ms, 10ms, 50ms, 100ms, 500ms, 1s, +Inf.
+static LATENCY_LADDER_NS: [u64; 7] = [
     1_000_000,
     5_000_000,
     10_000_000,
@@ -60,180 +37,16 @@ pub const EXEMPLAR_LE_NS: [u64; 8] = [
     100_000_000,
     500_000_000,
     1_000_000_000,
-    u64::MAX,
 ];
 
-/// Per-bucket exemplar cells: the trace id and value of the most recent
-/// *retained* flight-recorder sample landing in each ladder bucket.
-/// Lock-free (two relaxed stores per record); a torn read across the two
-/// cells can at worst pair a trace id with a neighbouring sample's value,
-/// which is harmless for debugging exemplars.
-#[derive(Debug, Default)]
-pub struct ExemplarSet {
-    traces: [AtomicU64; 8],
-    values: [AtomicU64; 8],
+/// A duration in nanoseconds, saturating.
+pub(crate) fn as_ns(d: Duration) -> u64 {
+    d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
-impl ExemplarSet {
-    /// Record a retained sample's trace id into its ladder bucket.
-    pub fn record(&self, ns: u64, trace: u64) {
-        let idx = EXEMPLAR_LE_NS
-            .iter()
-            .position(|&le| ns <= le)
-            .unwrap_or(EXEMPLAR_LE_NS.len() - 1);
-        self.values[idx].store(ns, Ordering::Relaxed);
-        self.traces[idx].store(trace, Ordering::Relaxed);
-    }
-
-    /// Copy the cells: `(trace, value_ns)` per ladder bucket (trace 0 =
-    /// no exemplar yet).
-    pub fn snapshot(&self) -> [(u64, u64); 8] {
-        let mut out = [(0u64, 0u64); 8];
-        for (i, cell) in out.iter_mut().enumerate() {
-            *cell = (
-                self.traces[i].load(Ordering::Relaxed),
-                self.values[i].load(Ordering::Relaxed),
-            );
-        }
-        out
-    }
-}
-
-/// A fixed-size, lock-free, log-bucketed latency histogram.
-#[derive(Debug)]
-pub struct Histogram {
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl Default for Histogram {
-    fn default() -> Histogram {
-        Histogram {
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-impl Histogram {
-    /// A fresh, empty histogram.
-    pub fn new() -> Histogram {
-        Histogram::default()
-    }
-
-    /// Record one latency sample (a few relaxed atomic adds).
-    pub fn record(&self, latency: Duration) {
-        let ns = latency.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.buckets[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-    }
-
-    /// Copy the current bucket contents for quantile computation.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            buckets: self
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-            count: self.count.load(Ordering::Relaxed),
-            sum_ns: self.sum_ns.load(Ordering::Relaxed),
-            max_ns: self.max_ns.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of a [`Histogram`].
-#[derive(Debug, Clone, Default)]
-pub struct HistogramSnapshot {
-    buckets: Vec<u64>,
-    count: u64,
-    sum_ns: u64,
-    max_ns: u64,
-}
-
-impl HistogramSnapshot {
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sum of all recorded samples (exact, not bucketed).
-    pub fn sum(&self) -> Duration {
-        Duration::from_nanos(self.sum_ns)
-    }
-
-    /// Mean latency.
-    pub fn mean(&self) -> Duration {
-        match self.sum_ns.checked_div(self.count) {
-            Some(ns) => Duration::from_nanos(ns),
-            None => Duration::ZERO,
-        }
-    }
-
-    /// Worst recorded latency.
-    pub fn max(&self) -> Duration {
-        Duration::from_nanos(self.max_ns)
-    }
-
-    /// The `q`-quantile (`0.0 < q <= 1.0`), estimated as the midpoint of
-    /// the bucket containing the rank and clamped to the observed max.
-    pub fn quantile(&self, q: f64) -> Duration {
-        if self.count == 0 {
-            return Duration::ZERO;
-        }
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        if rank == self.count {
-            // The top rank is the observed maximum exactly.
-            return self.max();
-        }
-        let mut seen = 0u64;
-        for (idx, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                let lo = bucket_floor(idx);
-                let hi = if idx + 1 < self.buckets.len() {
-                    bucket_floor(idx + 1)
-                } else {
-                    self.max_ns
-                };
-                let mid = lo + (hi.saturating_sub(lo)) / 2;
-                return Duration::from_nanos(mid.min(self.max_ns));
-            }
-        }
-        self.max()
-    }
-
-    /// Samples recorded at or below `ns` nanoseconds, to log-bucket
-    /// resolution: the whole bucket containing `ns` is included, so the
-    /// answer can overcount by at most one sub-bucket's width (~25%).
-    /// Used for the OpenMetrics bucket exposition and the SLO watchdog's
-    /// good-request count; both tolerate bucket-granular precision.
-    pub fn count_le(&self, ns: u64) -> u64 {
-        let cutoff = bucket_index(ns);
-        self.buckets.iter().take(cutoff + 1).sum()
-    }
-
-    /// Median latency.
-    pub fn p50(&self) -> Duration {
-        self.quantile(0.5)
-    }
-
-    /// 90th-percentile latency.
-    pub fn p90(&self) -> Duration {
-        self.quantile(0.9)
-    }
-
-    /// 99th-percentile latency.
-    pub fn p99(&self) -> Duration {
-        self.quantile(0.99)
-    }
+/// Add one to an event counter.
+pub(crate) fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Per-model outcome counters plus the completed-request latency
@@ -244,12 +57,14 @@ impl HistogramSnapshot {
 /// `rejected_*`; every accepted request later lands in exactly one of
 /// `completed`, `failed`, `expired`, `lost`, and `lost` stays zero unless
 /// a worker thread died.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ModelTelemetry {
-    accepted: AtomicU64,
+    pub(crate) accepted: AtomicU64,
     completed: AtomicU64,
     failed: AtomicU64,
-    expired: AtomicU64,
+    pub(crate) expired: AtomicU64,
+    /// The invariant bucket: nothing increments it, so a nonzero reading
+    /// can only mean the books failed to close.
     lost: AtomicU64,
     /// Successful re-admissions after a replica died holding the request
     /// (the request itself still terminates exactly once).
@@ -257,57 +72,81 @@ pub struct ModelTelemetry {
     /// Requests that exhausted requeues (or found no surviving replica)
     /// after replica deaths; folded into `failed` for the invariant.
     replica_deaths: AtomicU64,
-    rejected_queue_full: AtomicU64,
-    rejected_expired: AtomicU64,
-    rejected_unloaded: AtomicU64,
-    rejected_shutdown: AtomicU64,
+    pub(crate) rejected_queue_full: AtomicU64,
+    pub(crate) rejected_expired: AtomicU64,
+    pub(crate) rejected_unloaded: AtomicU64,
+    pub(crate) rejected_shutdown: AtomicU64,
+    /// End-to-end latency (ns) of completed + failed requests; its
+    /// exemplar cells hold the most recent *retained* flight-recorder
+    /// trace per ladder bucket.
     latency: Histogram,
-    /// Queue-wait distribution (admission → worker pickup) for requests
-    /// that reached a worker; `latency` covers queue + execution.
+    /// Queue wait (ns, admission → worker pickup) of requests that
+    /// reached a worker; `latency` covers queue + execution.
     queue: Histogram,
     /// Requests served inside a formed batch (batch size > 1).
     batched: AtomicU64,
     /// Requests served on the unbatched path (no plan, no bucket match,
     /// undersized group, or fallback).
     unbatched: AtomicU64,
-    /// Distribution of the batch size each completed request rode in
-    /// (1 = unbatched). Log-bucketed like latency; sizes are small, so
-    /// low buckets are exact.
+    /// The batch size each completed request rode in (1 = unbatched);
+    /// sizes are small, so the low buckets are exact.
     batch_size: Histogram,
-    /// Exemplars: trace ids of the most recent *retained* flight-recorder
-    /// sample per end-to-end-latency ladder bucket.
-    latency_exemplars: ExemplarSet,
-    /// Exemplars for the queue-wait ladder.
-    queue_exemplars: ExemplarSet,
     /// Last-known storage-arena counters for the model's live engine
     /// (refreshed by `Router::stats`; survives unload as history).
     arena: RwLock<ArenaStats>,
     /// Last-known VM profile for the model's live engine (refreshed by
     /// `Router::stats` and the Prometheus collector).
     profile: RwLock<ProfileReport>,
+    /// Latest SLO watchdog verdict; `None` while no watchdog runs.
+    slo: RwLock<Option<SloState>>,
+}
+
+impl Default for ModelTelemetry {
+    fn default() -> ModelTelemetry {
+        ModelTelemetry {
+            accepted: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            failed: AtomicU64::new(0),
+            expired: AtomicU64::new(0),
+            lost: AtomicU64::new(0),
+            requeued: AtomicU64::new(0),
+            replica_deaths: AtomicU64::new(0),
+            rejected_queue_full: AtomicU64::new(0),
+            rejected_expired: AtomicU64::new(0),
+            rejected_unloaded: AtomicU64::new(0),
+            rejected_shutdown: AtomicU64::new(0),
+            latency: Histogram::with_ladder(&LATENCY_LADDER_NS),
+            queue: Histogram::with_ladder(&LATENCY_LADDER_NS),
+            batched: AtomicU64::new(0),
+            unbatched: AtomicU64::new(0),
+            batch_size: Histogram::new(),
+            arena: RwLock::default(),
+            profile: RwLock::default(),
+            slo: RwLock::default(),
+        }
+    }
 }
 
 impl ModelTelemetry {
-    pub(crate) fn record_accepted(&self) {
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_completed(&self, latency: Duration, ok: bool) {
-        if ok {
-            self.completed.fetch_add(1, Ordering::Relaxed);
+    /// A request reached a worker and ran: count the outcome and record
+    /// its queue wait, end-to-end latency, and the batch size it was
+    /// served at (1 = unbatched).
+    pub(crate) fn record_completed(
+        &self,
+        ok: bool,
+        queued: Duration,
+        latency: Duration,
+        batch_size: usize,
+    ) {
+        bump(if ok { &self.completed } else { &self.failed });
+        self.queue.record(as_ns(queued));
+        self.latency.record(as_ns(latency));
+        bump(if batch_size > 1 {
+            &self.batched
         } else {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-        }
-        self.latency.record(latency);
-    }
-
-    pub(crate) fn record_expired(&self) {
-        self.expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[allow(dead_code)] // kept: the invariant bucket must stay recordable
-    pub(crate) fn record_lost(&self) {
-        self.lost.fetch_add(1, Ordering::Relaxed);
+            &self.unbatched
+        });
+        self.batch_size.record(batch_size as u64);
     }
 
     pub(crate) fn record_requeued(&self, n: u64) {
@@ -319,47 +158,16 @@ impl ModelTelemetry {
     /// A request's serving replica(s) died and no survivor could take it:
     /// an explicit failure (never `lost`), tagged for the chaos report.
     pub(crate) fn record_replica_death(&self) {
-        self.replica_deaths.fetch_add(1, Ordering::Relaxed);
-        self.failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_rejected_queue_full(&self) {
-        self.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_rejected_expired(&self) {
-        self.rejected_expired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_rejected_unloaded(&self) {
-        self.rejected_unloaded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_rejected_shutdown(&self) {
-        self.rejected_shutdown.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn record_queue(&self, queued: Duration) {
-        self.queue.record(queued);
-    }
-
-    /// Record which batch size a completed request was served at
-    /// (1 = unbatched).
-    pub(crate) fn record_batch_size(&self, size: usize) {
-        if size > 1 {
-            self.batched.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.unbatched.fetch_add(1, Ordering::Relaxed);
-        }
-        self.batch_size.record(Duration::from_nanos(size as u64));
+        bump(&self.replica_deaths);
+        bump(&self.failed);
     }
 
     /// Stamp the trace id of a freshly *retained* flight-recorder trace
     /// into the latency (and, when known, queue-wait) exemplar cells.
     pub(crate) fn record_exemplar(&self, latency_ns: u64, queue_ns: Option<u64>, trace: u64) {
-        self.latency_exemplars.record(latency_ns, trace);
+        self.latency.exemplar(latency_ns, trace);
         if let Some(q) = queue_ns {
-            self.queue_exemplars.record(q, trace);
+            self.queue.exemplar(q, trace);
         }
     }
 
@@ -371,32 +179,52 @@ impl ModelTelemetry {
         *self.profile.write().unwrap() = profile;
     }
 
-    /// Snapshot this model's counters and histogram.
+    pub(crate) fn record_slo(&self, state: Option<SloState>) {
+        *self.slo.write().unwrap() = state;
+    }
+
+    /// Snapshot this model's counters and histograms.
     pub fn snapshot(&self) -> ModelStats {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         ModelStats {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            lost: self.lost.load(Ordering::Relaxed),
-            requeued: self.requeued.load(Ordering::Relaxed),
-            replica_deaths: self.replica_deaths.load(Ordering::Relaxed),
-            rejected_queue_full: self.rejected_queue_full.load(Ordering::Relaxed),
-            rejected_expired: self.rejected_expired.load(Ordering::Relaxed),
-            rejected_unloaded: self.rejected_unloaded.load(Ordering::Relaxed),
-            rejected_shutdown: self.rejected_shutdown.load(Ordering::Relaxed),
+            accepted: load(&self.accepted),
+            completed: load(&self.completed),
+            failed: load(&self.failed),
+            expired: load(&self.expired),
+            lost: load(&self.lost),
+            requeued: load(&self.requeued),
+            replica_deaths: load(&self.replica_deaths),
+            rejected_queue_full: load(&self.rejected_queue_full),
+            rejected_expired: load(&self.rejected_expired),
+            rejected_unloaded: load(&self.rejected_unloaded),
+            rejected_shutdown: load(&self.rejected_shutdown),
             latency: self.latency.snapshot(),
             queue: self.queue.snapshot(),
-            batched: self.batched.load(Ordering::Relaxed),
-            unbatched: self.unbatched.load(Ordering::Relaxed),
+            batched: load(&self.batched),
+            unbatched: load(&self.unbatched),
             batch_size: self.batch_size.snapshot(),
-            latency_exemplars: self.latency_exemplars.snapshot(),
-            queue_exemplars: self.queue_exemplars.snapshot(),
             slowest_trace: None,
             arena: *self.arena.read().unwrap(),
             profile: *self.profile.read().unwrap(),
+            slo: self.slo.read().unwrap().clone(),
+            live: None,
         }
     }
+}
+
+/// What only a *loaded* model has: engine, shard, device-pool and
+/// specializer state read from its live registry entry. These have no
+/// history once the model is unloaded.
+#[derive(Debug, Clone)]
+pub struct LiveStats {
+    /// Engine counters summed across replicas.
+    pub engine: EngineStats,
+    /// Per-replica rows and the replica lifecycle log.
+    pub shards: ShardStats,
+    /// Device memory pool counters, `[cpu, gpu]`.
+    pub pools: [PoolStats; 2],
+    /// The model's specializer, when one is attached.
+    pub specialize: Option<SpecializeStats>,
 }
 
 /// Snapshot of one model's serving counters.
@@ -427,24 +255,19 @@ pub struct ModelStats {
     pub rejected_unloaded: u64,
     /// Shed at admission: router draining.
     pub rejected_shutdown: u64,
-    /// Latency distribution of completed + failed requests.
+    /// Latency distribution (ns) of completed + failed requests, with the
+    /// retained-trace exemplar of each ladder bucket.
     pub latency: HistogramSnapshot,
-    /// Queue-wait distribution (admission → worker pickup); execution is
-    /// roughly `latency - queue`.
+    /// Queue-wait distribution (ns, admission → worker pickup); execution
+    /// is roughly `latency - queue`.
     pub queue: HistogramSnapshot,
     /// Completed/failed requests served inside a formed batch (size > 1).
     pub batched: u64,
     /// Completed/failed requests served on the unbatched path.
     pub unbatched: u64,
-    /// Batch-size distribution across completed/failed requests (the
-    /// "ns" axis counts batch members; 1 = unbatched).
+    /// Batch-size distribution across completed/failed requests, in
+    /// members (1 = unbatched).
     pub batch_size: HistogramSnapshot,
-    /// `(trace, value_ns)` exemplars per [`EXEMPLAR_LE_NS`] bucket of
-    /// end-to-end latency (trace 0 = none).
-    pub latency_exemplars: [(u64, u64); 8],
-    /// `(trace, value_ns)` exemplars per [`EXEMPLAR_LE_NS`] bucket of
-    /// queue wait.
-    pub queue_exemplars: [(u64, u64); 8],
     /// Slowest retained flight-recorder trace for this model:
     /// `(trace id, latency ns)`; `None` when nothing is retained.
     pub slowest_trace: Option<(u64, u64)>,
@@ -454,6 +277,11 @@ pub struct ModelStats {
     /// Cumulative VM profile for the model's engine: per-bucket and
     /// per-opcode time, instruction counts.
     pub profile: ProfileReport,
+    /// Latest SLO watchdog verdict (`None` while no watchdog runs).
+    pub slo: Option<SloState>,
+    /// Engine/shard/pool/specializer state, filled in by `Router::stats`
+    /// for models that are currently loaded.
+    pub live: Option<LiveStats>,
 }
 
 impl ModelStats {
@@ -476,6 +304,433 @@ impl ModelStats {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The family table
+
+/// One sample read out of a [`ModelStats`].
+enum Sample<'a> {
+    U64(u64),
+    F64(f64),
+    /// A distribution recorded in nanoseconds and exposed in seconds. A
+    /// `summary` family renders it as quantiles, a `histogram` family as
+    /// its cumulative `le` ladder with exemplars.
+    Nanos(&'a HistogramSnapshot),
+    /// A distribution of plain counts, exposed as recorded.
+    Counts(&'a HistogramSnapshot),
+}
+use Sample::{Counts, Nanos, F64, U64};
+
+/// A family's series for one model: `(value of the family's own label,
+/// sample)`. Empty when the model has nothing to say (not loaded, no
+/// specializer, no watchdog).
+type Rows<'a> = Vec<(String, Sample<'a>)>;
+
+/// One Prometheus metric family, declared once.
+struct Family {
+    name: &'static str,
+    help: &'static str,
+    /// `counter`, `gauge`, `summary` or `histogram`.
+    kind: &'static str,
+    /// The label next to `model` that tells the family's series apart;
+    /// empty when each model has a single series.
+    label: &'static str,
+    /// `columns[i]` titles the [`ServeStats`] table column series `i`
+    /// lands in (series sharing a title are summed; no title, no column).
+    columns: &'static [&'static str],
+    series: Series,
+}
+
+impl Family {
+    const fn new(
+        kind: &'static str,
+        name: &'static str,
+        help: &'static str,
+        series: Series,
+    ) -> Family {
+        Family {
+            name,
+            help,
+            kind,
+            label: "",
+            columns: &[],
+            series,
+        }
+    }
+
+    /// Name the label that tells this family's series apart.
+    const fn by(mut self, label: &'static str) -> Family {
+        self.label = label;
+        self
+    }
+
+    /// Show this family's series in the [`ServeStats`] table.
+    const fn columns(mut self, columns: &'static [&'static str]) -> Family {
+        self.columns = columns;
+        self
+    }
+}
+
+type Series = for<'a> fn(&'a ModelStats) -> Rows<'a>;
+
+const fn counter(name: &'static str, help: &'static str, series: Series) -> Family {
+    Family::new("counter", name, help, series)
+}
+
+const fn gauge(name: &'static str, help: &'static str, series: Series) -> Family {
+    Family::new("gauge", name, help, series)
+}
+
+const fn summary(name: &'static str, help: &'static str, series: Series) -> Family {
+    Family::new("summary", name, help, series)
+}
+
+const fn histogram(name: &'static str, help: &'static str, series: Series) -> Family {
+    Family::new("histogram", name, help, series)
+}
+
+fn one(sample: Sample) -> Rows {
+    vec![(String::new(), sample)]
+}
+
+fn each<'a, const N: usize>(rows: [(&str, Sample<'a>); N]) -> Rows<'a> {
+    rows.into_iter().map(|(k, s)| (k.to_string(), s)).collect()
+}
+
+fn seconds(ns: u64) -> Sample<'static> {
+    F64(ns as f64 / 1e9)
+}
+
+fn live<'a>(m: &'a ModelStats, rows: fn(&'a LiveStats) -> Rows<'a>) -> Rows<'a> {
+    m.live.as_ref().map(rows).unwrap_or_default()
+}
+
+fn per_device(m: &ModelStats, pick: fn(&PoolStats) -> u64) -> Rows<'static> {
+    match &m.live {
+        Some(l) => each([
+            ("cpu", U64(pick(&l.pools[0]))),
+            ("gpu", U64(pick(&l.pools[1]))),
+        ]),
+        None => Vec::new(),
+    }
+}
+
+fn specialize<'a>(m: &'a ModelStats, rows: fn(&'a SpecializeStats) -> Rows<'a>) -> Rows<'a> {
+    let spec = m.live.as_ref().and_then(|l| l.specialize.as_ref());
+    spec.map(rows).unwrap_or_default()
+}
+
+fn slo(m: &ModelStats, rows: fn(&SloState) -> Rows<'static>) -> Rows<'static> {
+    m.slo.as_ref().map(rows).unwrap_or_default()
+}
+
+/// Every serving metric family, in exposition order. To add a metric:
+/// put the value in [`ModelStats`] (or something it already holds) and
+/// add a row here; `/metrics` and — with `.columns(..)` — the
+/// [`ServeStats`] table pick it up.
+static FAMILIES: &[Family] = &[
+    counter(
+        "nimble_serve_requests_total",
+        "Serve request outcomes by model",
+        |m| {
+            each([
+                ("accepted", U64(m.accepted)),
+                ("completed", U64(m.completed)),
+                ("failed", U64(m.failed)),
+                ("expired", U64(m.expired)),
+                ("lost", U64(m.lost)),
+                ("rejected_queue_full", U64(m.rejected_queue_full)),
+                ("rejected_expired", U64(m.rejected_expired)),
+                ("rejected_unloaded", U64(m.rejected_unloaded)),
+                ("rejected_shutdown", U64(m.rejected_shutdown)),
+            ])
+        },
+    )
+    .by("outcome")
+    .columns(&[
+        "accepted", "done", "done", "expired", "", "shed", "shed", "shed", "shed",
+    ]),
+    summary(
+        "nimble_serve_latency_seconds",
+        "End-to-end latency of completed requests",
+        |m| one(Nanos(&m.latency)),
+    )
+    .columns(&["latency p50/p90/p99"]),
+    summary(
+        "nimble_serve_queue_seconds",
+        "Queue wait from admission to worker pickup",
+        |m| one(Nanos(&m.queue)),
+    )
+    .columns(&["queue p50/p90/p99"]),
+    histogram(
+        "nimble_serve_latency_hist_seconds",
+        "End-to-end latency ladder with flight-recorder exemplars",
+        |m| one(Nanos(&m.latency)),
+    ),
+    histogram(
+        "nimble_serve_queue_hist_seconds",
+        "Queue-wait ladder with flight-recorder exemplars",
+        |m| one(Nanos(&m.queue)),
+    ),
+    gauge(
+        "nimble_arena_hit_rate",
+        "Fraction of storage allocations served from the arena",
+        |m| one(F64(m.arena.hit_rate())),
+    )
+    .columns(&["arena hit"]),
+    gauge(
+        "nimble_arena_live_bytes",
+        "Bytes currently checked out of the arena",
+        |m| one(U64(m.arena.live_bytes)),
+    ),
+    gauge(
+        "nimble_arena_high_water_bytes",
+        "High-water mark of live arena bytes",
+        |m| one(U64(m.arena.high_water_bytes)),
+    ),
+    gauge(
+        "nimble_arena_retained_bytes",
+        "Bytes parked in the arena free lists",
+        |m| one(U64(m.arena.retained_bytes)),
+    ),
+    counter(
+        "nimble_vm_time_seconds",
+        "VM execution time by profile bucket",
+        |m| {
+            each([
+                ("kernel", seconds(m.profile.kernel_ns)),
+                ("shape_func", seconds(m.profile.shape_func_ns)),
+                ("other", seconds(m.profile.other_ns)),
+            ])
+        },
+    )
+    .by("bucket"),
+    counter(
+        "nimble_vm_instructions_total",
+        "Bytecode instructions executed",
+        |m| one(U64(m.profile.instructions)),
+    ),
+    counter(
+        "nimble_vm_kernel_invocations_total",
+        "Compute-kernel invocations",
+        |m| one(U64(m.profile.kernel_invocations)),
+    ),
+    counter(
+        "nimble_vm_opcode_seconds",
+        "Accumulated time of the top-5 opcodes by time",
+        |m| {
+            let top = m.profile.top_opcodes(5);
+            top.iter()
+                .map(|op| (op.name.to_string(), seconds(op.ns)))
+                .collect()
+        },
+    )
+    .by("opcode"),
+    counter(
+        "nimble_serve_requeued_total",
+        "Re-admissions after a replica died holding the request",
+        |m| one(U64(m.requeued)),
+    ),
+    counter(
+        "nimble_batch_requests_total",
+        "Completed requests by serving mode (batched = rode in a batch of >1)",
+        |m| each([("batched", U64(m.batched)), ("unbatched", U64(m.unbatched))]),
+    )
+    .by("mode"),
+    summary(
+        "nimble_batch_size",
+        "Batch size each completed request was served at (1 = unbatched)",
+        |m| one(Counts(&m.batch_size)),
+    ),
+    gauge(
+        "nimble_shard_replicas",
+        "Live engine replicas serving the model",
+        |m| live(m, |l| one(U64(l.shards.replicas.len() as u64))),
+    ),
+    gauge(
+        "nimble_replica_queue_depth",
+        "Requests waiting in one replica's queue",
+        |m| {
+            live(m, |l| {
+                let replicas = l.shards.replicas.iter();
+                replicas
+                    .map(|r| (r.id.to_string(), U64(r.engine.queue_depth)))
+                    .collect()
+            })
+        },
+    )
+    .by("replica"),
+    counter(
+        "nimble_replica_accepted_total",
+        "Requests admitted to one replica (requeues included)",
+        |m| {
+            live(m, |l| {
+                let replicas = l.shards.replicas.iter();
+                replicas
+                    .map(|r| (r.id.to_string(), U64(r.accepted)))
+                    .collect()
+            })
+        },
+    )
+    .by("replica"),
+    counter(
+        "nimble_shard_events_total",
+        "Replica lifecycle events since model registration",
+        |m| {
+            live(m, |l| {
+                let (added, retired, killed) = l.shards.event_counts();
+                each([
+                    ("added", U64(added)),
+                    ("retired", U64(retired)),
+                    ("killed", U64(killed)),
+                ])
+            })
+        },
+    )
+    .by("event"),
+    gauge(
+        "nimble_engine_queue_depth",
+        "Requests waiting in the engine queue",
+        |m| live(m, |l| one(U64(l.engine.queue_depth))),
+    ),
+    counter(
+        "nimble_engine_queue_seconds_total",
+        "Cumulative queue-wait time across completed requests",
+        |m| live(m, |l| one(seconds(l.engine.total_queue_ns))),
+    ),
+    counter(
+        "nimble_engine_exec_seconds_total",
+        "Cumulative pure execution time across completed requests",
+        |m| live(m, |l| one(seconds(l.engine.total_execution_ns))),
+    ),
+    counter(
+        "nimble_batches_formed_total",
+        "Padded batches executed (summed across replicas)",
+        |m| live(m, |l| one(U64(l.engine.batches_formed))),
+    ),
+    gauge(
+        "nimble_batch_pad_waste_ratio",
+        "Fraction of gathered batch units that were padding",
+        |m| live(m, |l| one(F64(l.engine.pad_waste_ratio()))),
+    ),
+    gauge(
+        "nimble_pool_live_bytes",
+        "Bytes currently live in the device memory pool",
+        |m| per_device(m, |p| p.live_bytes),
+    )
+    .by("device"),
+    gauge(
+        "nimble_pool_peak_live_bytes",
+        "High-water mark of live pool bytes",
+        |m| per_device(m, |p| p.peak_live_bytes),
+    )
+    .by("device"),
+    counter(
+        "nimble_pool_allocs_total",
+        "Allocation requests served by the pool",
+        |m| per_device(m, |p| p.allocs),
+    )
+    .by("device"),
+    counter(
+        "nimble_pool_hits_total",
+        "Allocations served from the pool free list",
+        |m| per_device(m, |p| p.pool_hits),
+    )
+    .by("device"),
+    counter(
+        "nimble_pool_frees_total",
+        "Blocks returned to the pool",
+        |m| per_device(m, |p| p.frees),
+    )
+    .by("device"),
+    counter(
+        "nimble_specialize_hits_total",
+        "Dispatches served by an installed specialized kernel",
+        |m| specialize(m, |s| one(U64(s.hits))),
+    ),
+    counter(
+        "nimble_specialize_misses_total",
+        "Dispatches on specializable kernels that ran the symbolic fallback",
+        |m| specialize(m, |s| one(U64(s.misses))),
+    ),
+    counter(
+        "nimble_specialize_installs_total",
+        "Specialized kernels installed after passing the bitwise probe",
+        |m| specialize(m, |s| one(U64(s.installs))),
+    ),
+    counter(
+        "nimble_specialize_evictions_total",
+        "Hot-shape cache entries evicted (LRU or teardown)",
+        |m| specialize(m, |s| one(U64(s.evictions))),
+    ),
+    gauge(
+        "nimble_specialize_cache_size",
+        "Shapes currently tracked by the hot-shape cache",
+        |m| specialize(m, |s| one(U64(s.cache_len as u64))),
+    ),
+    histogram(
+        "nimble_specialize_tune_seconds",
+        "Background tune duration (search + bitwise probe)",
+        |m| specialize(m, |s| one(Nanos(&s.tune_hist.ns))),
+    ),
+    gauge(
+        "nimble_slo_objective",
+        "Configured good-request objective",
+        |m| slo(m, |s| one(F64(s.objective))),
+    ),
+    gauge(
+        "nimble_slo_burn_rate",
+        "Error-budget burn rate per window (NaN until the window fills)",
+        |m| {
+            slo(m, |s| {
+                each([("fast", F64(s.fast_burn)), ("slow", F64(s.slow_burn))])
+            })
+        },
+    )
+    .by("window"),
+    gauge(
+        "nimble_slo_alert",
+        "1 while the model's burn rate is in the alerting state",
+        |m| slo(m, |s| one(U64(u64::from(s.alerting)))),
+    ),
+];
+
+/// Append every serving family to a Prometheus scrape: one walk of
+/// [`FAMILIES`], each family's series for each model in turn. A family no
+/// model has a series for (nothing loaded, no specializer, no watchdog)
+/// is left out, header included.
+pub(crate) fn render_metrics(stats: &ServeStats, buf: &mut PromBuf) {
+    for family in FAMILIES {
+        let mut headed = false;
+        for (model, m) in &stats.models {
+            for (value, sample) in (family.series)(m) {
+                if !headed {
+                    buf.header(family.name, family.help, family.kind);
+                    headed = true;
+                }
+                let labels = [("model", model.as_str()), (family.label, value.as_str())];
+                let labels = &labels[..if family.label.is_empty() { 1 } else { 2 }];
+                let (h, unit) = match sample {
+                    U64(v) => {
+                        buf.sample_u64(family.name, labels, v);
+                        continue;
+                    }
+                    F64(v) => {
+                        buf.sample_f64(family.name, labels, v);
+                        continue;
+                    }
+                    Nanos(h) => (h, 1e9),
+                    Counts(h) => (h, 1.0),
+                };
+                if family.kind == "summary" {
+                    buf.summary(family.name, labels, h, unit);
+                } else {
+                    buf.histogram(family.name, labels, h, unit);
+                }
+            }
+        }
+    }
+}
+
 /// A snapshot of every model's counters, keyed by model name.
 #[derive(Debug, Clone, Default)]
 pub struct ServeStats {
@@ -483,73 +738,76 @@ pub struct ServeStats {
     pub models: BTreeMap<String, ModelStats>,
 }
 
-impl ServeStats {
-    /// Sum of accepted requests across models.
-    pub fn accepted(&self) -> u64 {
-        self.models.values().map(|m| m.accepted).sum()
-    }
-
-    /// Sum of admission rejections across models.
-    pub fn rejected(&self) -> u64 {
-        self.models.values().map(|m| m.rejected()).sum()
-    }
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
+/// The stats table: one row per model, one column per titled series of
+/// [`FAMILIES`] (see [`Family::columns`]; distributions print
+/// `p50/p90/p99`), plus the two joins that are not metrics — each model's
+/// slowest retained flight-recorder trace (`<id>@<ms>ms` jumps straight
+/// to `/traces/<id>` on the debug endpoint) and, on a second line, its
+/// most expensive opcodes.
 impl std::fmt::Display for ServeStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        writeln!(
-            f,
-            "{:<12} {:>9} {:>9} {:>7} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7} {:>18}",
-            "model",
-            "accepted",
-            "done",
-            "expired",
-            "shed",
-            "q50 ms",
-            "p50 ms",
-            "p90 ms",
-            "p99 ms",
-            "max ms",
-            "arena%",
-            "slowest trace"
-        )?;
+        let mut titles = vec!["model"];
+        for title in FAMILIES.iter().flat_map(|family| family.columns) {
+            if !title.is_empty() && !titles.contains(title) {
+                titles.push(title);
+            }
+        }
+        titles.push("slowest trace");
+        let mut table: Vec<Vec<String>> = vec![titles.iter().map(|t| t.to_string()).collect()];
         for (name, m) in &self.models {
-            // Slowest retained flight-recorder trace: "<id>@<ms>ms" jumps
-            // straight to `/traces/<id>` on the debug endpoint.
-            let slowest = match m.slowest_trace {
+            let mut counts = vec![0u64; titles.len()];
+            let mut texts: Vec<Option<String>> = vec![None; titles.len()];
+            texts[0] = Some(name.clone());
+            for family in FAMILIES.iter().filter(|family| !family.columns.is_empty()) {
+                for ((_, sample), title) in (family.series)(m).into_iter().zip(family.columns) {
+                    let Some(col) = titles.iter().position(|t| t == title) else {
+                        continue;
+                    };
+                    let quantiles = |h: &HistogramSnapshot, show: fn(u64) -> String| {
+                        [h.p50(), h.p90(), h.p99()].map(show).join("/")
+                    };
+                    match sample {
+                        U64(v) => counts[col] += v,
+                        F64(v) => texts[col] = Some(format!("{v:.3}")),
+                        Nanos(h) => {
+                            let time = |ns| format!("{:.2?}", Duration::from_nanos(ns));
+                            texts[col] = Some(quantiles(h, time));
+                        }
+                        Counts(h) => texts[col] = Some(quantiles(h, |n| n.to_string())),
+                    }
+                }
+            }
+            texts[titles.len() - 1] = Some(match m.slowest_trace {
                 Some((trace, ns)) => format!("{trace}@{:.1}ms", ns as f64 / 1e6),
                 None => "-".to_string(),
-            };
-            writeln!(
-                f,
-                "{:<12} {:>9} {:>9} {:>7} {:>7} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>8.2} {:>7.1} {:>18}",
-                name,
-                m.accepted,
-                m.completed + m.failed,
-                m.expired,
-                m.rejected(),
-                ms(m.queue.p50()),
-                ms(m.latency.p50()),
-                ms(m.latency.p90()),
-                ms(m.latency.p99()),
-                ms(m.latency.max()),
-                m.arena.hit_rate() * 100.0,
-                slowest,
-            )?;
-            if m.profile.instructions > 0 {
-                write!(f, "{:<12}   top ops:", "")?;
+            });
+            let cells = texts.into_iter().zip(counts);
+            table.push(
+                cells
+                    .map(|(text, n)| text.unwrap_or(n.to_string()))
+                    .collect(),
+            );
+        }
+        let width = |col: usize| {
+            table
+                .iter()
+                .map(|r| r[col].chars().count())
+                .max()
+                .unwrap_or(0)
+        };
+        let widths: Vec<usize> = (0..titles.len()).map(width).collect();
+        let models = [None].into_iter().chain(self.models.values().map(Some));
+        for (row, model) in table.iter().zip(models) {
+            write!(f, "{:<w$}", row[0], w = widths[0])?;
+            for (cell, w) in row.iter().zip(&widths).skip(1) {
+                write!(f, " {cell:>w$}")?;
+            }
+            writeln!(f)?;
+            if let Some(m) = model.filter(|m| m.profile.instructions > 0) {
+                write!(f, "{:<w$}   top ops:", "", w = widths[0])?;
                 for op in m.profile.top_opcodes(3) {
-                    write!(
-                        f,
-                        " {} ({}x, {:.2} ms)",
-                        op.name,
-                        op.count,
-                        op.ns as f64 / 1e6
-                    )?;
+                    let ms = op.ns as f64 / 1e6;
+                    write!(f, " {} ({}x, {ms:.2} ms)", op.name, op.count)?;
                 }
                 writeln!(f)?;
             }
@@ -603,148 +861,89 @@ impl Telemetry {
 mod tests {
     use super::*;
 
-    #[test]
-    fn bucket_index_is_monotone_and_floor_inverts() {
-        // Dense check over the low range, then octave boundaries up high.
-        let mut last = 0usize;
-        for v in 0u64..100_000 {
-            let idx = bucket_index(v);
-            assert!(idx >= last, "index not monotone at {v}");
-            assert!(idx < BUCKETS);
-            assert!(bucket_floor(idx) <= v, "floor above value at {v}");
-            last = idx;
-        }
-        for shift in 17..63u32 {
-            let v = 1u64 << shift;
-            assert!(bucket_index(v - 1) <= bucket_index(v), "boundary at {v}");
-            assert!(bucket_index(v) <= bucket_index(v + 1), "boundary at {v}");
-            assert!(bucket_floor(bucket_index(v)) <= v);
-        }
-        assert!(bucket_index(u64::MAX) < BUCKETS);
-        // Floors map back to their own bucket.
-        for idx in 0..BUCKETS {
-            assert_eq!(bucket_index(bucket_floor(idx)), idx, "floor/index at {idx}");
-        }
-    }
-
-    #[test]
-    fn quantiles_track_known_distribution() {
-        let h = Histogram::new();
-        // 100 samples: 1ms ×90, 10ms ×9, 100ms ×1.
-        for _ in 0..90 {
-            h.record(Duration::from_millis(1));
-        }
-        for _ in 0..9 {
-            h.record(Duration::from_millis(10));
-        }
-        h.record(Duration::from_millis(100));
-        let s = h.snapshot();
-        assert_eq!(s.count(), 100);
-        assert_eq!(s.max(), Duration::from_millis(100));
-        // Log-bucket resolution is ~25%; check the right decade.
-        let p50 = s.p50().as_secs_f64();
-        assert!((0.0005..0.002).contains(&p50), "p50 {p50}");
-        let p90 = s.p90().as_secs_f64();
-        assert!((0.0005..0.002).contains(&p90), "p90 {p90}");
-        let p99 = s.quantile(0.99).as_secs_f64();
-        assert!((0.005..0.02).contains(&p99), "p99 {p99}");
-        assert_eq!(s.quantile(1.0), Duration::from_millis(100));
-    }
-
-    #[test]
-    fn empty_histogram_is_zero() {
-        let s = Histogram::new().snapshot();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.p50(), Duration::ZERO);
-        assert_eq!(s.mean(), Duration::ZERO);
-    }
-
-    #[test]
-    fn concurrent_recording_loses_nothing() {
-        let h = Arc::new(Histogram::new());
-        let threads = 8;
-        let per = 1000;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let h = Arc::clone(&h);
-                std::thread::spawn(move || {
-                    for i in 0..per {
-                        h.record(Duration::from_micros((t * per + i) as u64 + 1));
-                    }
-                })
-            })
-            .collect();
-        for j in handles {
-            j.join().unwrap();
-        }
-        assert_eq!(h.snapshot().count(), (threads * per) as u64);
-    }
+    const MS: Duration = Duration::from_millis(1);
 
     #[test]
     fn telemetry_snapshot_accumulates_per_model() {
         let t = Telemetry::default();
-        t.model("a").record_accepted();
-        t.model("a")
-            .record_completed(Duration::from_millis(2), true);
-        t.model("b").record_rejected_queue_full();
+        bump(&t.model("a").accepted);
+        t.model("a").record_completed(true, MS, 2 * MS, 1);
+        bump(&t.model("b").rejected_queue_full);
         let snap = t.snapshot();
         assert_eq!(snap.models["a"].accepted, 1);
         assert_eq!(snap.models["a"].completed, 1);
+        assert_eq!(snap.models["a"].unbatched, 1);
         assert_eq!(snap.models["a"].latency.count(), 1);
+        assert_eq!(snap.models["a"].queue.sum(), 1_000_000);
         assert_eq!(snap.models["b"].rejected_queue_full, 1);
-        assert_eq!(snap.accepted(), 1);
-        assert_eq!(snap.rejected(), 1);
         // Same Arc for the same name.
         assert!(Arc::ptr_eq(&t.model("a"), &t.model("a")));
-        // Display renders one row per model.
-        let text = format!("{snap}");
-        assert!(text.contains("a") && text.contains("b"));
-        assert!(text.contains("arena%"));
     }
 
     #[test]
-    fn count_le_tracks_ladder_buckets() {
-        let h = Histogram::new();
-        for _ in 0..90 {
-            h.record(Duration::from_millis(1));
+    fn table_sums_shared_columns_and_joins_the_slowest_trace() {
+        let t = Telemetry::default();
+        let m = t.model("m");
+        for _ in 0..3 {
+            bump(&m.accepted);
         }
-        for _ in 0..10 {
-            h.record(Duration::from_millis(100));
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count_le(u64::MAX), 100);
-        assert_eq!(s.count_le(10_000_000), 90);
-        assert_eq!(s.count_le(0), 0);
-    }
-
-    #[test]
-    fn exemplar_cells_hold_most_recent_trace() {
-        let e = ExemplarSet::default();
-        e.record(2_000_000, 42); // 5ms bucket
-        e.record(3_000_000, 43); // same bucket, overwrites
-        e.record(999_000_000_000, 7); // +Inf bucket
-        let snap = e.snapshot();
-        assert_eq!(snap[1], (43, 3_000_000));
-        assert_eq!(snap[7], (7, 999_000_000_000));
-        assert_eq!(snap[0], (0, 0));
-    }
-
-    #[test]
-    fn display_includes_slowest_trace_column() {
-        let mut stats = ServeStats::default();
-        let m = ModelStats {
-            slowest_trace: Some((123, 5_000_000)),
-            ..ModelStats::default()
-        };
-        stats.models.insert("m".into(), m);
+        m.record_completed(true, MS, 2 * MS, 4);
+        m.record_completed(false, MS, 2 * MS, 1);
+        bump(&m.rejected_queue_full);
+        bump(&m.rejected_shutdown);
+        let mut stats = t.snapshot();
+        stats.models.get_mut("m").unwrap().slowest_trace = Some((123, 5_000_000));
         stats.models.insert("n".into(), ModelStats::default());
         let text = format!("{stats}");
-        assert!(text.contains("slowest trace"));
-        assert!(text.contains("123@5.0ms"));
-        assert!(
-            text.contains(" -"),
-            "models with no retained trace print '-'"
+        let lines: Vec<Vec<&str>> = text
+            .lines()
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        // "slowest trace" and "arena hit" are two words each.
+        assert_eq!(
+            lines[0].join(" "),
+            "model accepted done expired shed latency p50/p90/p99 queue p50/p90/p99 \
+             arena hit slowest trace"
         );
+        // completed + failed share "done"; the four rejections share "shed".
+        assert_eq!(lines[1][..5], ["m", "3", "2", "0", "2"]);
+        // p50 is a bucket midpoint; the top rank is the exact maximum.
+        assert!(lines[1][5].ends_with("ms/2.00ms/2.00ms"), "{}", lines[1][5]);
+        assert_eq!(lines[1].last(), Some(&"123@5.0ms"));
+        assert_eq!(lines[2].last(), Some(&"-"), "no retained trace prints '-'");
+    }
+
+    #[test]
+    fn metrics_omit_families_no_model_has_series_for() {
+        let t = Telemetry::default();
+        t.model("m").record_completed(true, MS, MS, 1);
+        let mut buf = PromBuf::default();
+        render_metrics(&t.snapshot(), &mut buf);
+        let text = buf.finish();
+        assert!(text.contains("# TYPE nimble_serve_latency_seconds summary"));
+        assert!(text.contains("nimble_batch_size{model=\"m\",quantile=\"0.5\"} 1\n"));
+        assert!(text.contains("nimble_batch_size_sum{model=\"m\"} 1\n"));
+        // Not loaded, no specializer, no watchdog: those families (header
+        // included) stay out of the scrape.
+        for absent in [
+            "nimble_engine_",
+            "nimble_pool_",
+            "nimble_specialize_",
+            "nimble_slo_",
+        ] {
+            assert!(
+                !text.contains(absent),
+                "{absent} exposed for an unloaded model"
+            );
+        }
+    }
+
+    #[test]
+    fn family_names_are_unique() {
+        let mut names: Vec<&str> = FAMILIES.iter().map(|f| f.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), FAMILIES.len());
     }
 
     #[test]

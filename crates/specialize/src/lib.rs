@@ -34,12 +34,14 @@
 //! next to the base pack) is released when its last referencing entry is
 //! evicted and again wholesale on [`ModelSpecializer::shutdown`] — the
 //! serving layer couples that to the model unload/hot-swap drain path so
-//! memory returns to baseline. `NIMBLE_SPECIALIZE=off` disables the whole
-//! subsystem at attach time.
+//! memory returns to baseline. A model that should not specialize is
+//! simply never attached (`RegistryConfig::specialize = None` in the
+//! serving layer).
 
 use nimble_codegen::{
     select_schedule, tune_dense_symbolic, DenseSpec, Kernel, KernelError, TunerConfig,
 };
+use nimble_obs::hist::{Histogram, HistogramSnapshot};
 use nimble_tensor::kernels::gemm::{gemm_packed, gemm_packed_cols, Epilogue};
 use nimble_tensor::kernels::MatmulSchedule;
 use nimble_tensor::pool::default_profile;
@@ -50,16 +52,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
 use std::time::Instant;
-
-/// `NIMBLE_SPECIALIZE=off|0|false|none` disables specialization for
-/// specializers attached afterwards. Read at attach (not per request), so
-/// flipping the variable mid-run does not change a live model.
-pub fn specialize_disabled() -> bool {
-    matches!(
-        std::env::var("NIMBLE_SPECIALIZE").as_deref(),
-        Ok("off") | Ok("0") | Ok("false") | Ok("none")
-    )
-}
 
 /// Knobs for the observation cache and the background tuner budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,63 +87,23 @@ impl Default for SpecializeConfig {
     }
 }
 
-/// Log-2-bucketed tune-duration histogram (1 µs .. ~16 s, plus overflow),
-/// exposed through the serving layer as a Prometheus histogram.
-#[derive(Debug)]
-struct TuneHistogram {
-    /// `buckets[i]` counts tunes with duration ≤ `2^i` µs; the last slot
-    /// is the overflow (`+Inf`) bucket.
-    buckets: [AtomicU64; TUNE_BUCKETS + 1],
-    sum_ns: AtomicU64,
-    count: AtomicU64,
-}
-
-const TUNE_BUCKETS: usize = 24;
-
-impl TuneHistogram {
-    fn new() -> TuneHistogram {
-        TuneHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_ns: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
+/// `le` ladder of the tune-duration exposition: 1 µs × 2^i in
+/// nanoseconds, i = 0..24 (1 µs .. ~8 s), then `+Inf`.
+static TUNE_LADDER_NS: [u64; 24] = {
+    let mut ladder = [0u64; 24];
+    let mut i = 0;
+    while i < ladder.len() {
+        ladder[i] = 1_000 << i;
+        i += 1;
     }
-
-    fn record_ns(&self, ns: u64) {
-        let us = ns / 1_000;
-        let idx = (64 - us.max(1).leading_zeros() as usize).min(TUNE_BUCKETS);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Cumulative `(le_seconds, count)` pairs (Prometheus convention),
-    /// ending with the `+Inf` bucket.
-    fn snapshot(&self) -> TuneHistSnapshot {
-        let mut cumulative = Vec::with_capacity(TUNE_BUCKETS + 1);
-        let mut acc = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            acc += b.load(Ordering::Relaxed);
-            let le = if i == TUNE_BUCKETS {
-                f64::INFINITY
-            } else {
-                (1u64 << i) as f64 * 1e-6
-            };
-            cumulative.push((le, acc));
-        }
-        TuneHistSnapshot {
-            cumulative,
-            count: self.count.load(Ordering::Relaxed),
-            sum_seconds: self.sum_ns.load(Ordering::Relaxed) as f64 * 1e-9,
-        }
-    }
-}
+    ladder
+};
 
 /// Point-in-time view of the tune-duration histogram.
 #[derive(Debug, Clone, Default)]
 pub struct TuneHistSnapshot {
-    /// Cumulative `(le_seconds, count)` buckets; last entry is `+Inf`.
-    pub cumulative: Vec<(f64, u64)>,
+    /// Tune durations in nanoseconds, exposed over a 1 µs × 2^i ladder.
+    pub ns: HistogramSnapshot,
     /// Total tunes recorded.
     pub count: u64,
     /// Total tuning wall time in seconds.
@@ -254,7 +206,8 @@ pub struct ModelSpecializer {
     evictions: AtomicU64,
     rejected: AtomicU64,
     tunes: AtomicU64,
-    tune_hist: TuneHistogram,
+    /// Tune durations, nanoseconds.
+    tune_hist: Histogram,
     /// Refcounts of extra prepack entries created by installed kernels.
     pack_refs: Mutex<HashMap<PackKey, usize>>,
     tx: Mutex<Option<Sender<TuneJob>>>,
@@ -283,16 +236,12 @@ impl std::fmt::Debug for ModelSpecializer {
 impl ModelSpecializer {
     /// Scan `vm` for specializable kernels, spawn the background tuner
     /// thread, and install the specializer as the VM's dispatch hook.
-    /// Returns `None` when `NIMBLE_SPECIALIZE=off` or the program has no
-    /// dense anchor to specialize — the VM is left unhooked and pays
-    /// nothing.
+    /// Returns `None` when the program has no dense anchor to specialize
+    /// — the VM is left unhooked and pays nothing.
     pub fn attach(
         vm: &Arc<VirtualMachine>,
         cfg: SpecializeConfig,
     ) -> Option<Arc<ModelSpecializer>> {
-        if specialize_disabled() {
-            return None;
-        }
         let slots: Vec<Option<Arc<SlotInfo>>> = vm
             .kernels()
             .iter()
@@ -325,7 +274,7 @@ impl ModelSpecializer {
             evictions: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             tunes: AtomicU64::new(0),
-            tune_hist: TuneHistogram::new(),
+            tune_hist: Histogram::with_ladder(&TUNE_LADDER_NS),
             pack_refs: Mutex::new(HashMap::new()),
             tx: Mutex::new(Some(tx)),
             worker: Mutex::new(None),
@@ -372,6 +321,7 @@ impl ModelSpecializer {
             .values()
             .filter(|e| matches!(*e.state.read().unwrap(), EntryState::Ready(_)))
             .count();
+        let tune_ns = self.tune_hist.snapshot();
         SpecializeStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -382,7 +332,11 @@ impl ModelSpecializer {
             cache_len: entries.len(),
             installed,
             extra_pack_entries: self.pack_refs.lock().unwrap().len(),
-            tune_hist: self.tune_hist.snapshot(),
+            tune_hist: TuneHistSnapshot {
+                count: tune_ns.count(),
+                sum_seconds: tune_ns.sum() as f64 * 1e-9,
+                ns: tune_ns,
+            },
         }
     }
 
@@ -745,7 +699,7 @@ impl ModelSpecializer {
             _ => false,
         };
         let elapsed = start.elapsed().as_nanos() as u64;
-        self.tune_hist.record_ns(elapsed);
+        self.tune_hist.record(elapsed);
         if !identical {
             if let Some(key) = pack_key {
                 // Unpin the candidate's layout unless another installed
@@ -869,41 +823,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_gate_spelling() {
-        // Constructor-time read mirrors `NIMBLE_BATCH`; only the listed
-        // spellings disable.
-        for (val, off) in [
-            ("off", true),
-            ("0", true),
-            ("false", true),
-            ("none", true),
-            ("on", false),
-            ("1", false),
-            ("", false),
-        ] {
-            std::env::set_var("NIMBLE_SPECIALIZE", val);
-            assert_eq!(specialize_disabled(), off, "NIMBLE_SPECIALIZE={val}");
-        }
-        std::env::remove_var("NIMBLE_SPECIALIZE");
-        assert!(!specialize_disabled());
-    }
-
-    #[test]
-    fn tune_histogram_buckets_are_cumulative() {
-        let h = TuneHistogram::new();
-        h.record_ns(500); // < 1 µs → bucket 0
-        h.record_ns(3_000); // 3 µs → le 4 µs
-        h.record_ns(3_000);
-        h.record_ns(u64::MAX / 2); // overflow bucket
+    fn tune_ladder_is_microsecond_octaves() {
+        assert_eq!(TUNE_LADDER_NS[0], 1_000);
+        assert_eq!(TUNE_LADDER_NS[2], 4_000);
+        assert_eq!(TUNE_LADDER_NS[23], 1_000 << 23);
+        let h = Histogram::with_ladder(&TUNE_LADDER_NS);
+        h.record(500); // < 1 µs
+        h.record(3_000); // 3 µs → le 4 µs
+        h.record(3_000);
+        h.record(u64::MAX / 2); // +Inf only
         let snap = h.snapshot();
-        assert_eq!(snap.count, 4);
-        assert_eq!(snap.cumulative.last().unwrap().1, 4, "+Inf holds all");
-        assert!(snap.cumulative.windows(2).all(|w| w[0].1 <= w[1].1));
-        let le_4us = snap
-            .cumulative
-            .iter()
-            .find(|(le, _)| (*le - 4e-6).abs() < 1e-12)
-            .unwrap();
-        assert_eq!(le_4us.1, 3);
+        let rows: Vec<_> = snap.ladder().collect();
+        assert_eq!(rows.len(), 25);
+        assert_eq!(rows[0].count, 1);
+        assert_eq!((rows[2].le, rows[2].count), (Some(4_000), 3));
+        assert_eq!((rows[24].le, rows[24].count), (None, 4));
     }
 }

@@ -6,7 +6,8 @@
 //! the process-wide prepack cache to its pre-attach size.
 //!
 //! The prepack cache is process-global, so each `#[test]` builds its own
-//! VM and phrases cache assertions as deltas.
+//! VM, phrases cache assertions as deltas, and holds [`cache_lock`] so the
+//! other test cannot move the cache size under its delta.
 
 use nimble_core::{compile, CompileOptions};
 use nimble_device::DeviceSet;
@@ -19,7 +20,12 @@ use nimble_tensor::{prepack, DType, Tensor};
 use nimble_vm::{Object, VirtualMachine};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+fn cache_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// `main(x: [?, width])`: two dense(+bias)+relu blocks — after fusion,
 /// two specializable dense anchors.
@@ -61,6 +67,7 @@ fn run_rows(vm: &VirtualMachine, x: &Tensor) -> Vec<u32> {
 
 #[test]
 fn install_serves_hot_shapes_bitwise_identically() {
+    let _cache = cache_lock();
     let width = 16;
     let vm = build_vm(width, 7);
     let baseline = prepack::cache_len();
@@ -136,6 +143,7 @@ fn install_serves_hot_shapes_bitwise_identically() {
 
 #[test]
 fn capacity_eviction_never_strands_a_live_kernel() {
+    let _cache = cache_lock();
     let width = 12;
     let vm = build_vm(width, 23);
     let baseline = prepack::cache_len();

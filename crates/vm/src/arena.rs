@@ -33,7 +33,7 @@ use nimble_device::{size_class, DeviceId, MemoryPool, StorageBlock};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Requests whose size class exceeds this go to the first-fit overflow
 /// list instead of an exact-class free list (1 MiB).
@@ -41,18 +41,6 @@ pub const LARGE_CLASS: usize = 1 << 20;
 
 /// Byte written over recycled blocks in debug builds.
 pub const POISON_BYTE: u8 = 0xA5;
-
-/// Whether sessions should use an arena by default: on, unless the
-/// `NIMBLE_ARENA` environment variable is `off`/`0`/`false` (the escape
-/// hatch for A/B-ing allocator behaviour in production). Read once per
-/// process.
-pub fn arena_enabled_by_env() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| match std::env::var("NIMBLE_ARENA") {
-        Ok(v) => !matches!(v.to_ascii_lowercase().as_str(), "off" | "0" | "false"),
-        Err(_) => true,
-    })
-}
 
 /// Snapshot of one arena's counters (or a sum over several — see
 /// [`ArenaStats::merge`]).
@@ -166,12 +154,6 @@ impl StorageArena {
             retained_blocks: AtomicU64::new(0),
             poison,
         }
-    }
-
-    /// A shared arena, or `None` when `NIMBLE_ARENA=off` disables arenas
-    /// process-wide.
-    pub fn shared_default() -> Option<Arc<StorageArena>> {
-        arena_enabled_by_env().then(|| Arc::new(StorageArena::new()))
     }
 
     /// Allocate a block of at least `nbytes` for `device`: a recycled

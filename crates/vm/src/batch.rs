@@ -18,9 +18,6 @@
 //! * **pacing** — `min_batch`/`max_batch`/`max_wait` shape the
 //!   batch-forming stage in the engine drain loop; the engine itself
 //!   enforces the close-batch-on-deadline-pressure rule.
-//!
-//! The escape hatch `NIMBLE_BATCH=off` disables batching process-wide at
-//! engine construction time, restoring the unbatched path unchanged.
 
 use crate::object::Object;
 use crate::Result;
@@ -31,16 +28,6 @@ use std::time::Duration;
 /// builders that emit batched entries must follow this convention.
 pub fn entry_name(function: &str, bucket: usize) -> String {
     format!("{function}_b{bucket}")
-}
-
-/// Whether `NIMBLE_BATCH=off|0|false` disables batching process-wide.
-/// Read at engine construction (not per request), so flipping the
-/// variable mid-run does not change a live engine.
-pub fn batching_disabled() -> bool {
-    matches!(
-        std::env::var("NIMBLE_BATCH").as_deref(),
-        Ok("off") | Ok("0") | Ok("false") | Ok("none")
-    )
 }
 
 /// Knobs shaping how aggressively a replica forms batches.

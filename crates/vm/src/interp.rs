@@ -79,8 +79,8 @@ pub struct Session {
     /// device set's lane count; irrelevant on CPU-only sets).
     lane: usize,
     /// Storage recycler for `AllocStorage`/`AllocTensorReg`; `None` runs
-    /// every allocation straight against the device pools
-    /// (`NIMBLE_ARENA=off`, or an explicitly arena-less session).
+    /// every allocation straight against the device pools (an explicitly
+    /// arena-less session, see [`Session::without_arena`]).
     arena: Option<Arc<StorageArena>>,
     /// Whether the current run is inside a sampled trace (set at the top
     /// of [`VirtualMachine::run_in`]; gates per-instruction span records).
@@ -95,7 +95,7 @@ impl Default for Session {
 
 impl Session {
     /// A fresh session with an empty frame pool, on lane 0, with its own
-    /// arena (unless `NIMBLE_ARENA=off`).
+    /// arena.
     pub fn new() -> Session {
         Session::with_lane(0)
     }
@@ -104,7 +104,7 @@ impl Session {
     /// on distinct lanes overlap on the (simulated) device, the
     /// one-CUDA-stream-per-worker serving pattern.
     pub fn with_lane(lane: usize) -> Session {
-        Session::with_lane_and_arena(lane, StorageArena::shared_default())
+        Session::with_lane_and_arena(lane, Some(Arc::new(StorageArena::new())))
     }
 
     /// A session on `lane` using the given arena (engine workers pass a

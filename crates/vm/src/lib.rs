@@ -25,7 +25,7 @@ pub mod object;
 pub mod profiler;
 
 pub use arena::{ArenaStats, StorageArena};
-pub use batch::{batching_disabled, BatchConfig, BatchPlan};
+pub use batch::{BatchConfig, BatchPlan};
 pub use disasm::disassemble;
 pub use exe::{Executable, KernelDesc, VMFunction};
 pub use interp::{DispatchHook, Session, VirtualMachine};
