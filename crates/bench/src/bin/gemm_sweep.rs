@@ -3,14 +3,24 @@
 //! schedule-sensitivity sweep showing that `MatmulSchedule` is a real
 //! knob (distinct configs, distinct measured costs, identical outputs).
 //!
+//! A second table covers **short `m`** — the row counts one request or a
+//! small batch produces — for the three dense drivers (`gemm_packed`,
+//! `gemm_packed_cols`, symbolic dense): GFLOP/s on the pool, how many
+//! participants the shared `PanelSplit` decomposition had work for, and the
+//! speed-up over the same driver held to one participant. Pool output must
+//! equal the one-participant output bit for bit.
+//!
 //! * `--smoke` — CI-sized: small shapes, few iterations, exits non-zero
 //!   only on correctness mismatch (never on timing).
 //! * `--full`  — the numbers recorded in EXPERIMENTS.md.
 
 use nimble_bench::harness::{measure, render_table};
-use nimble_tensor::kernels::gemm::{gemm_packed, Epilogue, PackedB};
+use nimble_codegen::symbolic::{dense_symbolic_packed, DispatchLevel};
+use nimble_tensor::kernels::gemm::{gemm_packed, gemm_packed_cols, Epilogue, PackedB, PanelSplit};
 use nimble_tensor::kernels::MatmulSchedule;
-use nimble_tensor::pool::{default_profile, parallel_for};
+use nimble_tensor::pool::{
+    default_profile, parallel_chunks_mut, participants, with_forced_participants,
+};
 use nimble_tensor::ExecProfile;
 use std::time::Duration;
 
@@ -26,33 +36,23 @@ fn legacy_row_dot(
     k: usize,
     out: &mut [f32],
 ) {
-    struct SendPtr(*mut f32);
-    unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
-    impl SendPtr {
-        fn get(&self) -> *mut f32 {
-            self.0
-        }
-    }
-    let base = SendPtr(out.as_mut_ptr());
-    parallel_for(profile, m, 2 * n * k, |i0, i1| {
-        for i in i0..i1 {
-            let row = &a[i * k..(i + 1) * k];
-            for j in 0..n {
-                let col = &bt[j * k..(j + 1) * k];
-                let mut acc0 = 0.0f32;
-                let mut acc1 = 0.0f32;
-                let mut kk = 0;
-                while kk + 2 <= k {
-                    acc0 += row[kk] * col[kk];
-                    acc1 += row[kk + 1] * col[kk + 1];
-                    kk += 2;
-                }
-                if kk < k {
-                    acc0 += row[kk] * col[kk];
-                }
-                unsafe { *base.get().add(i * n + j) = acc0 + acc1 };
+    debug_assert_eq!(out.len(), m * n);
+    parallel_chunks_mut(profile, out, n, 2 * k, |i, out_row| {
+        let row = &a[i * k..(i + 1) * k];
+        for (j, o) in out_row.iter_mut().enumerate() {
+            let col = &bt[j * k..(j + 1) * k];
+            let mut acc0 = 0.0f32;
+            let mut acc1 = 0.0f32;
+            let mut kk = 0;
+            while kk + 2 <= k {
+                acc0 += row[kk] * col[kk];
+                acc1 += row[kk + 1] * col[kk + 1];
+                kk += 2;
             }
+            if kk < k {
+                acc0 += row[kk] * col[kk];
+            }
+            *o = acc0 + acc1;
         }
     });
 }
@@ -129,6 +129,81 @@ fn sweep_shape(
         worst_sched,
         worst,
     }
+}
+
+/// The three dense drivers behind one call shape.
+const DRIVERS: [&str; 3] = ["gemm_packed", "gemm_packed_cols", "symbolic/8"];
+
+fn run_driver(driver: usize, a: &[f32], pb: &PackedB, m: usize, out: &mut [f32]) {
+    let profile = default_profile();
+    let sched = MatmulSchedule::for_profile(profile).sanitized();
+    match driver {
+        0 => gemm_packed(profile, a, pb, m, out, sched, &Epilogue::NONE),
+        1 => gemm_packed_cols(profile, a, pb, m, out, sched, &Epilogue::NONE),
+        _ => dense_symbolic_packed(a, pb, m, out, DispatchLevel::Dispatch8, None),
+    }
+}
+
+/// Short-`m` grid: every driver on the pool against itself held to one
+/// participant. Returns `(label, [GFLOP/s, participants used, speed-up])`.
+fn short_m_sweep(smoke: bool, warmup: usize, iters: usize) -> Vec<(String, Vec<f64>)> {
+    let profile = default_profile();
+    let sched = MatmulSchedule::for_profile(profile).sanitized();
+    let ms: &[usize] = if smoke {
+        &[1, 8, 26]
+    } else {
+        &[1, 4, 8, 16, 26, 32, 48, 64]
+    };
+    let kns: &[(usize, usize)] = if smoke {
+        &[(256, 256)]
+    } else {
+        &[(256, 256), (256, 1024), (1024, 256)]
+    };
+    // Calls per timed sample, so a sample is long against the clock.
+    let reps = if smoke { 2 } else { 20 };
+    let mut rows = Vec::new();
+    for &(k, n) in kns {
+        for &m in ms {
+            let (a, bt) = operands(m, n, k);
+            let pb = PackedB::pack_bt(&bt, n, k, sched.tile_k);
+            for (driver, name) in DRIVERS.iter().enumerate() {
+                // Row strips as the driver cuts them: all rows for the
+                // column driver, `tile_m` for the other two.
+                let row_step = if driver == 1 { m } else { sched.tile_m };
+                let split = PanelSplit::plan(profile, m, &pb, row_step, sched.tile_n);
+                let used = participants(profile, 2 * m * n * k).min(split.tasks());
+                let time = |out: &mut [f32]| {
+                    measure(warmup, iters, || {
+                        for _ in 0..reps {
+                            run_driver(driver, &a, &pb, m, out);
+                        }
+                        std::hint::black_box(&*out);
+                    })
+                };
+                let mut serial = vec![f32::NAN; m * n];
+                let t_serial = with_forced_participants(1, || time(&mut serial));
+                let mut pooled = vec![f32::NAN; m * n];
+                let t_pool = time(&mut pooled);
+                assert!(
+                    serial
+                        .iter()
+                        .zip(&pooled)
+                        .all(|(s, p)| s.to_bits() == p.to_bits()),
+                    "{name} m={m} k={k} n={n}: pool output differs from one participant"
+                );
+                let per_call = t_pool.as_secs_f64() / reps as f64;
+                rows.push((
+                    format!("{name} m={m} k={k} n={n}"),
+                    vec![
+                        2.0 * (m * n * k) as f64 / per_call / 1e9,
+                        used as f64,
+                        t_serial.as_secs_f64() / t_pool.as_secs_f64(),
+                    ],
+                ));
+            }
+        }
+    }
+    rows
 }
 
 fn main() {
@@ -225,8 +300,25 @@ fn main() {
         );
     }
 
+    let short = short_m_sweep(smoke, warmup, iters);
+    let header: Vec<String> = ["driver, shape", "GFLOP/s", "particip.", "vs serial"]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &format!(
+                "Short-m sweep ({} hardware threads)",
+                ExecProfile::Server.threads()
+            ),
+            &header,
+            &short
+        )
+    );
+
     // Timing assertions stay out of CI (`--smoke` machines are noisy);
-    // correctness is asserted per-schedule inside the sweep above.
+    // correctness is asserted per-schedule inside the sweeps above.
     if !smoke {
         let wins = rows.iter().filter(|r| r.packed_default < r.legacy).count();
         println!(

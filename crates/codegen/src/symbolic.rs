@@ -27,7 +27,7 @@
 //! matching the blocked GEMM, so all dispatch levels (and the library
 //! kernel on the Server profile) agree bitwise.
 
-use nimble_tensor::kernels::gemm::{PackedB, NR};
+use nimble_tensor::kernels::gemm::{PackedB, PanelBlock, PanelSplit, NR};
 use nimble_tensor::kernels::MatmulSchedule;
 use nimble_tensor::pool::default_profile;
 use nimble_tensor::{prepack, Result as TResult, Tensor, TensorError};
@@ -78,23 +78,22 @@ impl DispatchLevel {
 /// factor of 8 in all three kernels"). Equals the GEMM microkernel's `MR`.
 pub const TILE: usize = 8;
 
-/// Compute `ROWS` output rows against every packed weight panel with
+/// Compute `ROWS` output rows against the task's packed weight panels with
 /// compile-time `ROWS`: the row loop fully unrolls and each packed weight
 /// lane feeds `ROWS` accumulators, with no per-row branch.
 #[inline]
 fn panel_const<const ROWS: usize>(
     x: &[f32],
     pb: &PackedB,
-    k: usize,
-    out: &mut [f32],
+    blk: &mut PanelBlock<'_>,
     row0: usize,
     bias: Option<&[f32]>,
 ) {
     if ROWS == 0 {
         return;
     }
-    let n = pb.n();
-    for jp_idx in 0..pb.n_panels() {
+    let (n, k) = (pb.n(), pb.k());
+    for jp_idx in blk.panels() {
         let j0 = jp_idx * NR;
         let cols = NR.min(n - j0);
         let mut acc = [[0.0f32; NR]; ROWS];
@@ -112,14 +111,8 @@ fn panel_const<const ROWS: usize>(
                 }
             }
         }
-        for r in 0..ROWS {
-            for c in 0..cols {
-                let mut v = acc[r][c];
-                if let Some(bs) = bias {
-                    v += bs[j0 + c];
-                }
-                out[(row0 + r) * n + j0 + c] = v;
-            }
+        for (r, acc_row) in acc.iter().enumerate() {
+            write_row(blk, row0 + r, j0, &acc_row[..cols], bias);
         }
     }
 }
@@ -133,13 +126,12 @@ fn panel_masked(
     x: &[f32],
     pb: &PackedB,
     m: usize,
-    k: usize,
-    out: &mut [f32],
+    blk: &mut PanelBlock<'_>,
     row0: usize,
     bias: Option<&[f32]>,
 ) {
-    let n = pb.n();
-    for jp_idx in 0..pb.n_panels() {
+    let (n, k) = (pb.n(), pb.k());
+    for jp_idx in blk.panels() {
         let j0 = jp_idx * NR;
         let cols = NR.min(n - j0);
         let mut acc = [[0.0f32; NR]; TILE];
@@ -160,17 +152,23 @@ fn panel_masked(
                 }
             }
         }
-        for r in 0..TILE {
+        for (r, acc_row) in acc.iter().enumerate() {
             if row0 + r < m {
-                for c in 0..cols {
-                    let mut v = acc[r][c];
-                    if let Some(bs) = bias {
-                        v += bs[j0 + c];
-                    }
-                    out[(row0 + r) * n + j0 + c] = v;
-                }
+                write_row(blk, row0 + r, j0, &acc_row[..cols], bias);
             }
         }
+    }
+}
+
+/// Store one accumulator row (plus bias) into the task's output window.
+#[inline(always)]
+fn write_row(blk: &mut PanelBlock<'_>, row: usize, j0: usize, acc: &[f32], bias: Option<&[f32]>) {
+    let orow = blk.out_row(row, j0, acc.len());
+    for (c, (o, &v)) in orow.iter_mut().zip(acc).enumerate() {
+        *o = match bias {
+            Some(bs) => v + bs[j0 + c],
+            None => v,
+        };
     }
 }
 
@@ -178,21 +176,20 @@ fn panel_masked(
 fn tail_const(
     x: &[f32],
     pb: &PackedB,
-    k: usize,
-    out: &mut [f32],
+    blk: &mut PanelBlock<'_>,
     row0: usize,
     r: usize,
     bias: Option<&[f32]>,
 ) {
     match r {
         0 => {}
-        1 => panel_const::<1>(x, pb, k, out, row0, bias),
-        2 => panel_const::<2>(x, pb, k, out, row0, bias),
-        3 => panel_const::<3>(x, pb, k, out, row0, bias),
-        4 => panel_const::<4>(x, pb, k, out, row0, bias),
-        5 => panel_const::<5>(x, pb, k, out, row0, bias),
-        6 => panel_const::<6>(x, pb, k, out, row0, bias),
-        7 => panel_const::<7>(x, pb, k, out, row0, bias),
+        1 => panel_const::<1>(x, pb, blk, row0, bias),
+        2 => panel_const::<2>(x, pb, blk, row0, bias),
+        3 => panel_const::<3>(x, pb, blk, row0, bias),
+        4 => panel_const::<4>(x, pb, blk, row0, bias),
+        5 => panel_const::<5>(x, pb, blk, row0, bias),
+        6 => panel_const::<6>(x, pb, blk, row0, bias),
+        7 => panel_const::<7>(x, pb, blk, row0, bias),
         _ => unreachable!("residue < 8"),
     }
 }
@@ -201,6 +198,10 @@ fn tail_const(
 /// with the given dispatch level. The dispatch itself (the `match` on
 /// `m % 8`) is what the paper's generated dispatch function performs before
 /// jumping to the selected kernel copy.
+///
+/// Work is cut by the kernel library's [`PanelSplit`], like the blocked
+/// GEMM: each task runs the selected copy — main 8-row blocks, then the
+/// residue tail if the task holds the last rows — over its own panel range.
 pub fn dense_symbolic_packed(
     x: &[f32],
     pb: &PackedB,
@@ -212,54 +213,61 @@ pub fn dense_symbolic_packed(
     let (n, k) = (pb.n(), pb.k());
     debug_assert_eq!(x.len(), m * k);
     debug_assert_eq!(out.len(), m * n);
-    let q = m / TILE;
+    let profile = default_profile();
+    // Strips of whole `TILE` blocks (`sanitized` rounds `tile_m` to `MR`).
+    let sched = MatmulSchedule::for_profile(profile).sanitized();
     let r = m % TILE;
-    match level {
-        DispatchLevel::Static | DispatchLevel::Dispatch8 => {
-            // Kernel copy for exact residue r: unrolled main blocks plus a
-            // fully-unrolled constant tail. No boundary checks anywhere.
-            for b in 0..q {
-                panel_const::<TILE>(x, pb, k, out, b * TILE, bias);
+    PanelSplit::plan(profile, m, pb, sched.tile_m, sched.tile_n).run(out, |blk| {
+        let rows = blk.rows();
+        let tail0 = rows.start + rows.len() / TILE * TILE;
+        // Only the strip that ends the matrix has a partial block.
+        let r = if rows.end == m { r } else { 0 };
+        // Unrolled main blocks of every specialized copy: no boundary checks.
+        let main = |blk: &mut PanelBlock<'_>| {
+            for b0 in (rows.start..tail0).step_by(TILE) {
+                panel_const::<TILE>(x, pb, blk, b0, bias);
             }
-            tail_const(x, pb, k, out, q * TILE, r, bias);
+        };
+        match level {
+            DispatchLevel::Static | DispatchLevel::Dispatch8 => {
+                // Kernel copy for exact residue r: a fully-unrolled
+                // constant tail.
+                main(blk);
+                tail_const(x, pb, blk, tail0, r, bias);
+            }
+            DispatchLevel::Dispatch4 => {
+                // Copy selected by r / 2: the even part of the tail is a
+                // compile-time constant, parity costs one dynamic branch.
+                main(blk);
+                let even = r & !1;
+                tail_const(x, pb, blk, tail0, even, bias);
+                if r & 1 == 1 {
+                    panel_const::<1>(x, pb, blk, tail0 + even, bias);
+                }
+            }
+            DispatchLevel::Dispatch2 => {
+                // Copy selected by r / 4: two dynamic branches remain.
+                main(blk);
+                let quad = r & !3;
+                tail_const(x, pb, blk, tail0, quad, bias);
+                let mut row = tail0 + quad;
+                if r & 2 == 2 {
+                    panel_const::<2>(x, pb, blk, row, bias);
+                    row += 2;
+                }
+                if r & 1 == 1 {
+                    panel_const::<1>(x, pb, blk, row, bias);
+                }
+            }
+            DispatchLevel::NoDispatch => {
+                // The single symbolic kernel: the compiler cannot prove any
+                // block is full, so every block runs predicated.
+                for b0 in rows.clone().step_by(TILE) {
+                    panel_masked(x, pb, m, blk, b0, bias);
+                }
+            }
         }
-        DispatchLevel::Dispatch4 => {
-            // Copy selected by r / 2: the even part of the tail is a
-            // compile-time constant, parity costs one dynamic branch.
-            for b in 0..q {
-                panel_const::<TILE>(x, pb, k, out, b * TILE, bias);
-            }
-            let even = r & !1;
-            tail_const(x, pb, k, out, q * TILE, even, bias);
-            if r & 1 == 1 {
-                panel_const::<1>(x, pb, k, out, q * TILE + even, bias);
-            }
-        }
-        DispatchLevel::Dispatch2 => {
-            // Copy selected by r / 4: two dynamic branches remain.
-            for b in 0..q {
-                panel_const::<TILE>(x, pb, k, out, b * TILE, bias);
-            }
-            let quad = r & !3;
-            tail_const(x, pb, k, out, q * TILE, quad, bias);
-            let mut row = q * TILE + quad;
-            if r & 2 == 2 {
-                panel_const::<2>(x, pb, k, out, row, bias);
-                row += 2;
-            }
-            if r & 1 == 1 {
-                panel_const::<1>(x, pb, k, out, row, bias);
-            }
-        }
-        DispatchLevel::NoDispatch => {
-            // The single symbolic kernel: the compiler cannot prove any
-            // block is full, so every block runs predicated.
-            let blocks = m.div_ceil(TILE);
-            for b in 0..blocks {
-                panel_masked(x, pb, m, k, out, b * TILE, bias);
-            }
-        }
-    }
+    });
 }
 
 /// Slice-level entry point: packs `wt` (`[n, k]`) transiently and runs

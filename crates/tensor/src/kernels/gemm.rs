@@ -12,7 +12,14 @@
 //!   width.
 //! * **A packing**: each `tile_m` strip of A is repacked on the fly into
 //!   `MR`-row panels (k-major, same `tile_k` blocking), so the microkernel
-//!   reads both operands as contiguous streams.
+//!   reads both operands as contiguous streams. The pack buffer is a
+//!   per-thread scratch reused across calls.
+//! * **Work decomposition** ([`PanelSplit`]): one rule cuts `out[m, n]` into
+//!   row strips × groups of `NR`-column panels for every dense driver —
+//!   [`gemm_packed`], [`gemm_packed_cols`] and `nimble-codegen`'s symbolic
+//!   dense. Enough row strips for every participant: rows only. Fewer
+//!   (short `m`): whole `tile_n` column blocks as well, with A packed once
+//!   and shared read-only.
 //! * **Microkernel**: an `MR×NR = 8×8` register accumulator tile,
 //!   width-generic over [`nimble_simd::SimdF32`] and monomorphized per ISA
 //!   behind `#[target_feature]` wrappers (AVX2+FMA / SSE2 / NEON, with the
@@ -42,8 +49,11 @@
 //! primitive the elementwise kernels use — so fused `dense → activation`
 //! chains touch the output exactly once.
 
-use crate::pool::{parallel_chunks_mut, parallel_for, ExecProfile};
+use crate::pool::{parallel_for, participants, ExecProfile, SendPtr, OVERSUBSCRIBE};
 use nimble_simd::{vecmath, Isa, SimdF32};
+use std::cell::Cell;
+use std::marker::PhantomData;
+use std::ops::Range;
 
 pub use nimble_simd::vecmath::UnaryOp;
 
@@ -209,6 +219,189 @@ impl PackedB {
     pub fn bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
     }
+}
+
+/// The work decomposition of `out[m, n] = x[m, k] · Wᵀ` over packed
+/// `NR`-column panels, shared by every dense driver.
+///
+/// The output is a grid of `row_step`-row strips × groups of `panel_step`
+/// panels; one grid cell is one task ([`PanelBlock`]). The cut is chosen
+/// from the shape and the participant count alone
+/// ([`PanelSplit::column_groups`]):
+///
+/// * one participant (Edge profile, one core, or less work than the pool's
+///   threshold): strips only, run in order on the caller;
+/// * at least as many strips as participants: strips only — each task
+///   streams all of B once, rows are independent;
+/// * fewer strips (short `m`): every strip is also cut into column groups
+///   of whole `tile_n` blocks, about [`OVERSUBSCRIBE`] tasks per
+///   participant. B is still streamed exactly once in total, and the rows
+///   every task re-reads are few enough to stay cache-resident.
+///
+/// Every output element keeps its single accumulator and ascending-`k`
+/// order under any cut, so results never depend on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PanelSplit {
+    profile: ExecProfile,
+    m: usize,
+    n: usize,
+    n_panels: usize,
+    /// Flop estimate of the whole product, for the pool's threshold.
+    work: usize,
+    row_step: usize,
+    panel_step: usize,
+}
+
+impl PanelSplit {
+    /// Cut `out[m, pb.n()]` for `profile` right now: strips of `row_step`
+    /// rows (rounded up by the caller to whatever its kernel needs) and
+    /// column blocks of `tile_n` columns (rounded up to whole panels).
+    pub fn plan(
+        profile: ExecProfile,
+        m: usize,
+        pb: &PackedB,
+        row_step: usize,
+        tile_n: usize,
+    ) -> PanelSplit {
+        let work = (2 * pb.k().max(1)).saturating_mul(m * pb.n());
+        let row_step = row_step.max(1);
+        let block_panels = tile_n.max(1).div_ceil(NR);
+        let blocks = pb.n_panels().div_ceil(block_panels);
+        let groups = Self::column_groups(m.div_ceil(row_step), blocks, participants(profile, work));
+        PanelSplit {
+            profile,
+            m,
+            n: pb.n(),
+            n_panels: pb.n_panels(),
+            work,
+            row_step,
+            // At least one panel per group, so an empty `n` is zero tasks.
+            panel_step: blocks.div_ceil(groups).max(1) * block_panels,
+        }
+    }
+
+    /// The rule itself: into how many column groups each of `strips` row
+    /// strips is cut, when the columns come in `blocks` whole `tile_n`
+    /// blocks.
+    pub fn column_groups(strips: usize, blocks: usize, participants: usize) -> usize {
+        if participants <= 1 || strips >= participants {
+            1
+        } else {
+            (participants * OVERSUBSCRIBE)
+                .div_ceil(strips.max(1))
+                .clamp(1, blocks.max(1))
+        }
+    }
+
+    fn strips(&self) -> usize {
+        self.m.div_ceil(self.row_step)
+    }
+
+    fn groups(&self) -> usize {
+        self.n_panels.div_ceil(self.panel_step)
+    }
+
+    /// Number of tasks the output is cut into.
+    pub fn tasks(&self) -> usize {
+        self.strips() * self.groups()
+    }
+
+    /// Whether several tasks read the same rows of `x` (the column cut):
+    /// worth preparing those rows once, before [`PanelSplit::run`].
+    pub fn shares_rows(&self) -> bool {
+        self.groups() > 1
+    }
+
+    /// Run `f` once per task, across the worker pool when the product is
+    /// large enough. Tasks of one strip are adjacent in claim order.
+    pub fn run<F>(&self, out: &mut [f32], f: F)
+    where
+        F: Fn(&mut PanelBlock<'_>) + Sync,
+    {
+        assert_eq!(
+            out.len(),
+            self.m * self.n,
+            "PanelSplit::run: out must be [m, n]"
+        );
+        let tasks = self.tasks();
+        if tasks == 0 {
+            return;
+        }
+        let groups = self.groups();
+        let base = SendPtr(out.as_mut_ptr());
+        parallel_for(self.profile, tasks, self.work.div_ceil(tasks), |t0, t1| {
+            for t in t0..t1 {
+                let (strip, group) = (t / groups, t % groups);
+                let row0 = strip * self.row_step;
+                let panel0 = group * self.panel_step;
+                f(&mut PanelBlock {
+                    rows: row0..(row0 + self.row_step).min(self.m),
+                    panels: panel0..(panel0 + self.panel_step).min(self.n_panels),
+                    n: self.n,
+                    out: SendPtr(base.get()),
+                    _out: PhantomData,
+                });
+            }
+        });
+    }
+}
+
+/// One task of a [`PanelSplit`]: the output rows and packed-B panels to
+/// compute, and write access to exactly that window of `out`.
+pub struct PanelBlock<'a> {
+    // Private: the window is what makes `out_row` sound.
+    rows: Range<usize>,
+    panels: Range<usize>,
+    n: usize,
+    out: SendPtr<f32>,
+    _out: PhantomData<&'a mut [f32]>,
+}
+
+impl PanelBlock<'_> {
+    /// Output rows of this task.
+    pub fn rows(&self) -> Range<usize> {
+        self.rows.clone()
+    }
+
+    /// Packed-B panel indices of this task (columns `panels().start * NR ..`).
+    pub fn panels(&self) -> Range<usize> {
+        self.panels.clone()
+    }
+
+    /// `len` output elements of `row`, starting at column `col`.
+    ///
+    /// # Panics
+    /// Panics when the segment leaves this task's window.
+    #[inline]
+    pub fn out_row(&mut self, row: usize, col: usize, len: usize) -> &mut [f32] {
+        assert!(
+            self.rows.contains(&row)
+                && col >= self.panels.start * NR
+                && col + len <= (self.panels.end * NR).min(self.n),
+            "PanelBlock::out_row: segment outside the task's window"
+        );
+        // SAFETY: `PanelSplit::run` hands every task a distinct grid cell,
+        // so the windows (rows × panel columns, checked above) of two live
+        // `PanelBlock`s never overlap; `out` is `[m, n]` (asserted in `run`)
+        // and outlives the task because `parallel_for` blocks until every
+        // chunk completes. `&mut self` keeps segments of one task exclusive.
+        unsafe { std::slice::from_raw_parts_mut(self.out.get().add(row * self.n + col), len) }
+    }
+}
+
+thread_local! {
+    /// Per-thread A-pack scratch, reused across GEMM calls; grows to the
+    /// largest strip the thread has packed.
+    static A_PACK: Cell<Vec<f32>> = const { Cell::new(Vec::new()) };
+}
+
+/// Borrow this thread's A-pack scratch. Taken out of the slot for the
+/// duration, so a re-entrant call finds an empty buffer instead of aliasing.
+fn with_a_pack<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
+    let mut buf = A_PACK.take();
+    let r = f(&mut buf);
+    A_PACK.set(buf);
+    r
 }
 
 /// Pack a `rows`-row strip of `a: [m, k]` into `MR`-row k-major panels with
@@ -553,28 +746,22 @@ fn sanitize_isa(isa: Isa) -> Isa {
     }
 }
 
-/// Write an accumulator tile into `out`, applying the epilogue through the
-/// shared [`vecmath::epilogue_row`] primitive, masking the ragged
-/// row/column tails.
+/// Store one accumulator row into the task's output window and apply the
+/// epilogue through the shared [`vecmath::epilogue_row`] primitive; `acc`
+/// is already cut to the (possibly ragged) column count.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-fn write_tile(
+fn store_row(
     isa: Isa,
-    acc: &[[f32; NR]; MR],
-    out: &mut [f32],
-    n: usize,
-    row0: usize,
+    blk: &mut PanelBlock<'_>,
+    row: usize,
     col0: usize,
-    rows: usize,
-    cols: usize,
+    acc: &[f32],
     ep: &Epilogue,
 ) {
-    for r in 0..rows {
-        let orow = &mut out[(row0 + r) * n + col0..(row0 + r) * n + col0 + cols];
-        orow.copy_from_slice(&acc[r][..cols]);
-        let bias = ep.bias.map(|b| &b[col0..col0 + cols]);
-        vecmath::epilogue_row(isa, orow, bias, ep.unary);
-    }
+    let orow = blk.out_row(row, col0, acc.len());
+    orow.copy_from_slice(acc);
+    let bias = ep.bias.map(|b| &b[col0..col0 + acc.len()]);
+    vecmath::epilogue_row(isa, orow, bias, ep.unary);
 }
 
 /// Blocked GEMM over a pre-packed right-hand side:
@@ -582,10 +769,12 @@ fn write_tile(
 ///
 /// `a` is row-major `[m, k]` with `k == pb.k()`; `out` is `[m, pb.n()]`.
 /// `sched.tile_k` must match `pb.tile_k()` (the panel layout bakes it in);
-/// `tile_m`/`tile_n` are rounded up to `MR`/`NR` multiples. Output rows are
-/// partitioned into `tile_m` strips across the worker pool; each strip packs
-/// its A panel locally, so strips never share mutable state and results are
-/// deterministic regardless of thread interleaving.
+/// `tile_m`/`tile_n` are rounded up to `MR`/`NR` multiples. The output is
+/// cut by [`PanelSplit`] into `tile_m` strips and, when `m` is too short to
+/// give every participant a strip, `tile_n` column blocks. A strip task
+/// packs its own A panel; under the column cut A is packed once and shared
+/// read-only. Tasks write disjoint windows and never share mutable state,
+/// so results are deterministic regardless of thread interleaving.
 pub fn gemm_packed(
     profile: ExecProfile,
     a: &[f32],
@@ -625,79 +814,74 @@ pub fn gemm_packed_with_isa(
         return;
     }
     let tile_m = sched.tile_m.max(1).div_ceil(MR) * MR;
-    let tile_n = sched.tile_n.max(1).div_ceil(NR) * NR;
     let tile_k = pb.tile_k();
-    let k_blocks = pb.k_blocks();
     let edge = matches!(profile, ExecProfile::Edge);
     let micro = select_micro(isa, edge);
     let _s = nimble_obs::span_full("gemm.compute", nimble_obs::Category::Pool, (m * n) as u64);
-    // One chunk per tile_m output strip; flop estimate 2k per element.
-    parallel_chunks_mut(
-        profile,
-        out,
-        tile_m * n,
-        2 * k.max(1),
-        |strip, out_strip| {
-            let row0 = strip * tile_m;
-            let rows = out_strip.len() / n;
-            let mut apack = Vec::new();
-            {
-                let _p = nimble_obs::span_detail(
-                    "gemm.pack_a",
-                    nimble_obs::Category::Pool,
-                    strip as u64,
-                );
-                pack_a_strip(a, k, row0, rows, tile_k, &mut apack);
-            }
-            let _mk = nimble_obs::span_detail(
-                "gemm.microkernel",
-                nimble_obs::Category::Pool,
-                strip as u64,
-            );
-            let m_panels = rows.div_ceil(MR);
-            let a_block_stride = m_panels * MR * tile_k;
-            for jc in (0..n).step_by(tile_n) {
-                let jc_end = (jc + tile_n).min(n);
-                let mut jp_idx = jc / NR;
-                let mut j0 = jc;
-                while j0 < jc_end {
-                    let cols = NR.min(n - j0);
-                    for ip_idx in 0..m_panels {
-                        let r0 = ip_idx * MR;
-                        let rcount = MR.min(rows - r0);
-                        let mut acc = [[0.0f32; NR]; MR];
-                        // The block loop lives *inside* the tile: acc stays
-                        // register-resident across all of k, making results
-                        // bitwise-independent of the schedule.
-                        for block in 0..k_blocks {
-                            let kc = pb.block_kc(block);
-                            let ap = &apack[block * a_block_stride + ip_idx * MR * kc..][..MR * kc];
-                            let bp = pb.panel(block, jp_idx);
-                            // SAFETY: `micro` was selected for an ISA that
-                            // `sanitize_isa` verified is available.
-                            unsafe { micro(ap, bp, kc, &mut acc) };
-                        }
-                        write_tile(isa, &acc, out_strip, n, r0, j0, rcount, cols, ep);
-                    }
-                    jp_idx += 1;
-                    j0 += NR;
+    let pack = |row0: usize, rows: usize, apack: &mut Vec<f32>| {
+        let _p = nimble_obs::span_detail("gemm.pack_a", nimble_obs::Category::Pool, row0 as u64);
+        pack_a_strip(a, k, row0, rows, tile_k, apack);
+    };
+    // `apack` holds rows `pack_row0..pack_row0 + pack_rows`; the task's
+    // strip starts on an `MR` boundary of it (`tile_m` is a multiple).
+    let compute = |apack: &[f32], pack_row0: usize, pack_rows: usize, blk: &mut PanelBlock<'_>| {
+        let _mk = nimble_obs::span_detail(
+            "gemm.microkernel",
+            nimble_obs::Category::Pool,
+            blk.rows().start as u64,
+        );
+        let rows = blk.rows();
+        let a_block_stride = pack_rows.div_ceil(MR) * MR * tile_k;
+        let ip0 = (rows.start - pack_row0) / MR;
+        for jp_idx in blk.panels() {
+            let j0 = jp_idx * NR;
+            let cols = NR.min(n - j0);
+            for (ip_idx, r0) in (ip0..).zip(rows.clone().step_by(MR)) {
+                let rcount = MR.min(rows.end - r0);
+                let mut acc = [[0.0f32; NR]; MR];
+                // The block loop lives *inside* the tile: acc stays
+                // register-resident across all of k, making results
+                // bitwise-independent of the schedule.
+                for block in 0..pb.k_blocks() {
+                    let kc = pb.block_kc(block);
+                    let ap = &apack[block * a_block_stride + ip_idx * MR * kc..][..MR * kc];
+                    let bp = pb.panel(block, jp_idx);
+                    // SAFETY: `micro` was selected for an ISA that
+                    // `sanitize_isa` verified is available.
+                    unsafe { micro(ap, bp, kc, &mut acc) };
+                }
+                for (r, acc_row) in acc.iter().enumerate().take(rcount) {
+                    store_row(isa, blk, r0 + r, j0, &acc_row[..cols], ep);
                 }
             }
-        },
-    );
+        }
+    };
+    let split = PanelSplit::plan(profile, m, pb, tile_m, sched.tile_n);
+    if split.shares_rows() {
+        with_a_pack(|apack| {
+            pack(0, m, apack);
+            let apack = &apack[..];
+            split.run(out, |blk| compute(apack, 0, m, blk));
+        });
+    } else {
+        split.run(out, |blk| {
+            with_a_pack(|apack| {
+                let rows = blk.rows();
+                pack(rows.start, rows.len(), apack);
+                compute(apack, rows.start, rows.len(), blk);
+            })
+        });
+    }
 }
 
-/// Short-`m` driver: padding-free rows, `NR`-column panels split across
-/// the pool.
+/// Short-`m` driver: padding-free rows.
 ///
-/// [`gemm_packed`] is built for tall outputs: it parallelizes over
-/// `tile_m` row strips and always computes full `MR x NR` register
-/// tiles, so an `m = 1` dispatch (a single request through a
-/// row-dynamic model) runs on one core *and* spends `MR - 1` of every
-/// `MR` accumulator lanes on zero-padding rows. This driver computes
-/// exactly `m` rows — A is read in place, never packed or padded — and
-/// parallelizes over the packed-B column panels instead, so short-row
-/// shapes neither waste lanes nor serialize.
+/// [`gemm_packed`] always computes full `MR x NR` register tiles, so an
+/// `m = 1` dispatch (a single request through a row-dynamic model) spends
+/// `MR - 1` of every `MR` accumulator lanes on zero-padding rows. This
+/// driver computes exactly `m` rows — A is read in place, never packed or
+/// padded — one row × panel at a time. It takes the same [`PanelSplit`]
+/// with a single all-rows strip, i.e. always the column cut.
 ///
 /// Each output element is still reduced in strictly increasing `k`
 /// order with a single accumulator per element (the Server loop mirrors
@@ -747,46 +931,27 @@ pub fn gemm_packed_cols_with_isa(
     let cols_fn = select_cols(isa, edge);
     let _s = nimble_obs::span_full("gemm.compute", nimble_obs::Category::Pool, (m * n) as u64);
 
-    struct SendPtr(*mut f32);
-    unsafe impl Send for SendPtr {}
-    unsafe impl Sync for SendPtr {}
-    impl SendPtr {
-        fn get(&self) -> *mut f32 {
-            self.0
-        }
-    }
-    let base = SendPtr(out.as_mut_ptr());
-    // One work item per NR-column panel; flop estimate 2k per element.
-    parallel_for(
-        profile,
-        pb.n_panels(),
-        2 * k.max(1) * m * NR,
-        move |p0, p1| {
-            let _mk =
-                nimble_obs::span_detail("gemm.microkernel", nimble_obs::Category::Pool, p0 as u64);
-            for jp_idx in p0..p1 {
-                let j0 = jp_idx * NR;
-                let cols = NR.min(n - j0);
-                for i in 0..m {
-                    let arow = &a[i * k..(i + 1) * k];
-                    let mut acc = [0.0f32; NR];
-                    // SAFETY: `cols_fn` was selected for an ISA that
-                    // `sanitize_isa` verified is available.
-                    unsafe { cols_fn(arow, pb, jp_idx, &mut acc) };
-                    // SAFETY: panel index ranges from parallel_for are
-                    // disjoint, so each `[j0, j0+cols)` column window is
-                    // written by exactly one task, and `out` outlives the
-                    // call because parallel_for blocks until every chunk
-                    // completes.
-                    let orow =
-                        unsafe { std::slice::from_raw_parts_mut(base.get().add(i * n + j0), cols) };
-                    orow.copy_from_slice(&acc[..cols]);
-                    let bias = ep.bias.map(|b| &b[j0..j0 + cols]);
-                    vecmath::epilogue_row(isa, orow, bias, ep.unary);
-                }
+    // All `m` rows per task (A is read in place), columns always cut.
+    let split = PanelSplit::plan(profile, m, pb, m, sched.tile_n);
+    split.run(out, |blk| {
+        let _mk = nimble_obs::span_detail(
+            "gemm.microkernel",
+            nimble_obs::Category::Pool,
+            blk.panels().start as u64,
+        );
+        for jp_idx in blk.panels() {
+            let j0 = jp_idx * NR;
+            let cols = NR.min(n - j0);
+            for i in blk.rows() {
+                let arow = &a[i * k..(i + 1) * k];
+                let mut acc = [0.0f32; NR];
+                // SAFETY: `cols_fn` was selected for an ISA that
+                // `sanitize_isa` verified is available.
+                unsafe { cols_fn(arow, pb, jp_idx, &mut acc) };
+                store_row(isa, blk, i, j0, &acc[..cols], ep);
             }
-        },
-    );
+        }
+    });
 }
 
 #[cfg(test)]

@@ -24,12 +24,21 @@
 //!   queue front-first and drop a job from the queue once its range is
 //!   exhausted.
 //!
-//! Chunks are oversubscribed (~4 per participant) so a straggler chunk does
-//! not serialize the tail of the job.
+//! Chunks are oversubscribed ([`OVERSUBSCRIBE`] per participant) so a
+//! straggler chunk does not serialize the tail of the job.
+//!
+//! Dispatch is priced for kernels of a few microseconds: the host's thread
+//! count is read once per process, and a job below [`PARALLEL_THRESHOLD`]
+//! runs on the caller before any pool state is looked at. An idle worker
+//! keeps polling for [`SPIN`] before it parks, so inside a stream of
+//! kernels a job is handed over without a syscall; a submission wakes only
+//! as many *parked* workers as it has chunks to hand out.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Platform execution profile used by the kernel library.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -45,9 +54,7 @@ impl ExecProfile {
     /// Number of worker threads the profile may use.
     pub fn threads(self) -> usize {
         match self {
-            ExecProfile::Server => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            ExecProfile::Server => host_threads(),
             ExecProfile::Edge => 1,
         }
     }
@@ -98,9 +105,79 @@ pub fn default_profile() -> ExecProfile {
     }
 }
 
+/// Hardware threads of the host, read once per process:
+/// `available_parallelism` re-reads the affinity mask and the cgroup quota
+/// files on every call (~10 µs — more than a small kernel).
+fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Minimum total work (in "element-ops") below which parallel_for runs
 /// serially: submission overhead would otherwise dominate small kernels.
 const PARALLEL_THRESHOLD: usize = 1 << 16;
+
+/// Chunks (or decomposition tasks) aimed at per participant.
+pub const OVERSUBSCRIBE: usize = 4;
+
+/// How long an idle worker polls for the next job, and a submitter for its
+/// job's last chunks, before sleeping on a condvar. A model is a stream of
+/// kernels a few hundred microseconds apart: within one, the next job finds
+/// the workers awake on their own cores and is handed over without a
+/// syscall. (A futex wake costs microseconds, and a guest kernel tends to
+/// place the woken thread on the waker's core, serializing the two.)
+const SPIN: Duration = Duration::from_micros(500);
+
+/// Poll `ready` for up to [`SPIN`], offering the core to other runnable
+/// threads between polls so an oversubscribed box loses little to it.
+fn spin_until(ready: impl Fn() -> bool) -> bool {
+    if ready() {
+        return true;
+    }
+    let start = Instant::now();
+    while start.elapsed() < SPIN {
+        std::thread::yield_now();
+        if ready() {
+            return true;
+        }
+    }
+    false
+}
+
+thread_local! {
+    /// Test override of [`participants`] for jobs submitted by this thread.
+    static FORCED_PARTICIPANTS: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+/// How many threads a job of `work` element-ops submitted now is cut for:
+/// 1 (the caller alone) below [`PARALLEL_THRESHOLD`], else the profile's
+/// thread count. The work test comes first so small kernels pay for
+/// nothing else.
+pub fn participants(profile: ExecProfile, work: usize) -> usize {
+    if let Some(forced) = FORCED_PARTICIPANTS.get() {
+        return forced;
+    }
+    if work < PARALLEL_THRESHOLD {
+        return 1;
+    }
+    profile.threads()
+}
+
+/// Test hook: run `f` with every job this thread submits cut for exactly
+/// `participants` threads, whatever its size and the host's width. Results
+/// must not depend on the decomposition; the differential tests use this to
+/// compare one-participant and many-participant splits on any box.
+#[doc(hidden)]
+pub fn with_forced_participants<R>(participants: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FORCED_PARTICIPANTS.set(self.0);
+        }
+    }
+    let _restore = Restore(FORCED_PARTICIPANTS.replace(Some(participants.max(1))));
+    f()
+}
 
 /// A unit of queued work: a borrowed range closure plus an atomic cursor
 /// workers use to claim `[start, end)` chunks.
@@ -162,6 +239,11 @@ impl Job {
 
     /// Block until every chunk has finished executing.
     fn wait(&self) {
+        // Pairs with the `AcqRel` increment in `run`: the chunks' writes
+        // (and a recorded panic) are visible once the count is.
+        if spin_until(|| self.completed.load(Ordering::Acquire) == self.n_chunks) {
+            return;
+        }
         let mut done = self.done.lock().unwrap();
         while !*done {
             done = self.done_cv.wait(done).unwrap();
@@ -169,9 +251,20 @@ impl Job {
     }
 }
 
+/// Queue state, guarded by one mutex.
+struct PoolQueue {
+    jobs: VecDeque<Arc<Job>>,
+    /// Workers currently waiting on `work_cv`.
+    parked: usize,
+}
+
 struct PoolShared {
-    queue: Mutex<VecDeque<Arc<Job>>>,
+    queue: Mutex<PoolQueue>,
     work_cv: Condvar,
+    /// Jobs ever queued: lets an idle worker poll for the next one without
+    /// taking the lock. Only a hint (`Relaxed`) — the jobs themselves are
+    /// published by the queue mutex, under which this is bumped.
+    submitted: AtomicUsize,
 }
 
 struct WorkerPool {
@@ -188,12 +281,20 @@ fn worker_loop(shared: Arc<PoolShared>) {
             loop {
                 // Drop jobs whose range is fully claimed; in-flight chunks
                 // are owned by whoever claimed them.
-                while q.front().is_some_and(|j| j.exhausted()) {
-                    q.pop_front();
+                while q.jobs.front().is_some_and(|j| j.exhausted()) {
+                    q.jobs.pop_front();
                 }
-                match q.front() {
-                    Some(j) => break Arc::clone(j),
-                    None => q = shared.work_cv.wait(q).unwrap(),
+                if let Some(j) = q.jobs.front() {
+                    break Arc::clone(j);
+                }
+                let seen = shared.submitted.load(Ordering::Relaxed);
+                drop(q);
+                let more = spin_until(|| shared.submitted.load(Ordering::Relaxed) != seen);
+                q = shared.queue.lock().unwrap();
+                if !more && q.jobs.is_empty() {
+                    q.parked += 1;
+                    q = shared.work_cv.wait(q).unwrap();
+                    q.parked -= 1;
                 }
             }
         };
@@ -201,16 +302,18 @@ fn worker_loop(shared: Arc<PoolShared>) {
     }
 }
 
+static POOL: OnceLock<WorkerPool> = OnceLock::new();
+
 fn global_pool() -> &'static WorkerPool {
-    static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(|| {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .saturating_sub(1);
+        let workers = host_threads() - 1;
         let shared = Arc::new(PoolShared {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(PoolQueue {
+                jobs: VecDeque::new(),
+                parked: 0,
+            }),
             work_cv: Condvar::new(),
+            submitted: AtomicUsize::new(0),
         });
         for i in 0..workers {
             let s = Arc::clone(&shared);
@@ -229,6 +332,12 @@ pub fn pool_workers() -> usize {
     global_pool().workers
 }
 
+/// Whether any job has reached the pool yet (its workers are spawned on
+/// first use; a process that only runs sub-threshold kernels never does).
+pub fn pool_started() -> bool {
+    POOL.get().is_some()
+}
+
 /// Run `f(start, end)` over disjoint ranges of `0..n`, splitting across the
 /// persistent worker pool when the estimated `work = n * work_per_item` is
 /// large enough to amortize submission overhead.
@@ -243,8 +352,8 @@ pub fn parallel_for<F>(profile: ExecProfile, n: usize, work_per_item: usize, f: 
 where
     F: Fn(usize, usize) + Sync,
 {
-    let threads = profile.threads();
-    if threads <= 1 || n < 2 || n.saturating_mul(work_per_item) < PARALLEL_THRESHOLD {
+    let width = participants(profile, n.saturating_mul(work_per_item));
+    if width <= 1 || n < 2 {
         f(0, n);
         return;
     }
@@ -253,8 +362,7 @@ where
         f(0, n);
         return;
     }
-    let participants = (pool.workers + 1).min(threads);
-    let n_chunks = (participants * 4).min(n);
+    let n_chunks = (width * OVERSUBSCRIBE).min(n);
     let chunk = n.div_ceil(n_chunks);
     let n_chunks = n.div_ceil(chunk);
     // SAFETY: see `Job::task` — the closure outlives the job because this
@@ -276,11 +384,17 @@ where
         panic: Mutex::new(None),
         ctx: nimble_obs::current(),
     });
-    {
+    let wake = {
         let mut q = pool.shared.queue.lock().unwrap();
-        q.push_back(Arc::clone(&job));
+        q.jobs.push_back(Arc::clone(&job));
+        pool.shared.submitted.fetch_add(1, Ordering::Relaxed);
+        // The submitter takes one chunk itself; a two-chunk job on a wide
+        // box wakes one worker, not all of them.
+        q.parked.min(n_chunks - 1)
+    };
+    for _ in 0..wake {
+        pool.shared.work_cv.notify_one();
     }
-    pool.shared.work_cv.notify_all();
     job.run();
     job.wait();
     let panicked = job.panic.lock().unwrap().take();
@@ -291,14 +405,20 @@ where
 
 /// Raw-pointer wrapper that lets pool chunks rebuild disjoint sub-slices of
 /// a single output buffer.
-struct SendPtr<T>(*mut T);
+pub(crate) struct SendPtr<T>(pub(crate) *mut T);
+// SAFETY: the wrapper only moves the address between threads; every user
+// dereferences it for windows that are disjoint per chunk, while the
+// submitter (which owns the `&mut` the pointer came from) is blocked in
+// `parallel_for`.
 unsafe impl<T: Send> Send for SendPtr<T> {}
+// SAFETY: as above — shared access never reads or writes the same element
+// from two threads.
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl<T> SendPtr<T> {
     /// Accessor (rather than field access) so closures capture the whole
     /// `Sync` wrapper, not the bare raw pointer.
-    fn get(&self) -> *mut T {
+    pub(crate) fn get(&self) -> *mut T {
         self.0
     }
 }
@@ -351,6 +471,26 @@ mod tests {
         assert!(ExecProfile::Server.threads() >= 1);
         assert!(ExecProfile::Edge.tile() < ExecProfile::Server.tile());
         assert_eq!(ExecProfile::default(), ExecProfile::Server);
+    }
+
+    #[test]
+    fn participants_rule_and_override() {
+        assert_eq!(participants(ExecProfile::Server, PARALLEL_THRESHOLD - 1), 1);
+        assert_eq!(
+            participants(ExecProfile::Server, PARALLEL_THRESHOLD),
+            ExecProfile::Server.threads()
+        );
+        assert_eq!(participants(ExecProfile::Edge, usize::MAX), 1);
+        let inner = with_forced_participants(7, || {
+            // Forced: no threshold, no profile; nests and restores.
+            assert_eq!(
+                with_forced_participants(1, || participants(ExecProfile::Server, 0)),
+                1
+            );
+            participants(ExecProfile::Edge, 0)
+        });
+        assert_eq!(inner, 7);
+        assert_eq!(participants(ExecProfile::Server, 0), 1);
     }
 
     #[test]

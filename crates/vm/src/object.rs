@@ -10,7 +10,7 @@ use crate::{Result, VmError};
 use nimble_device::{DeviceId, MemoryPool, StorageBlock, TensorFuture};
 use nimble_tensor::Tensor;
 use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A storage region allocated by `AllocStorage`; when the last reference
 /// drops the block returns to its session's [`StorageArena`] (recycled for
@@ -139,6 +139,20 @@ pub struct ClosureObj {
 /// Tag used for tuple objects.
 pub const TUPLE_TAG: u32 = u32::MAX;
 
+/// The `[0]`-shaped tensor a placeholder carries until its kernel
+/// overwrites it: one per dtype for the whole process, cloned by reference.
+fn empty_tensor(dtype: nimble_tensor::DType) -> Tensor {
+    use nimble_tensor::DType;
+    static EMPTY: OnceLock<[Tensor; 4]> = OnceLock::new();
+    let empty = EMPTY.get_or_init(|| {
+        std::array::from_fn(|code| {
+            let dtype = DType::from_code(code as u8).expect("DType codes are 0..4");
+            Tensor::zeros(dtype, &[0])
+        })
+    });
+    empty[dtype.code() as usize].clone()
+}
+
 /// A VM register value.
 #[derive(Debug, Clone, Default)]
 pub enum Object {
@@ -188,7 +202,7 @@ impl Object {
         storage: Option<Arc<StorageHandle>>,
     ) -> Object {
         Object::Tensor(TensorObj {
-            tensor: Tensor::zeros(dtype, &[0]),
+            tensor: empty_tensor(dtype),
             device,
             storage,
             declared: Some(shape),
