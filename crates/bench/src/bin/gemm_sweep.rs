@@ -4,11 +4,12 @@
 //! knob (distinct configs, distinct measured costs, identical outputs).
 //!
 //! A second table covers **short `m`** — the row counts one request or a
-//! small batch produces — for the three dense drivers (`gemm_packed`,
-//! `gemm_packed_cols`, symbolic dense): GFLOP/s on the pool, how many
-//! participants the shared `PanelSplit` decomposition had work for, and the
-//! speed-up over the same driver held to one participant. Pool output must
-//! equal the one-participant output bit for bit.
+//! small batch produces — for the library `gemm_packed` and the symbolic
+//! dense at `dispatch/8` (one driver and microkernel, entered through the
+//! codegen dispatch level): GFLOP/s on the pool, how many participants the
+//! shared `PanelSplit` decomposition had work for, and the speed-up over
+//! the same entry point held to one participant. Pool output must equal
+//! the one-participant output bit for bit.
 //!
 //! * `--smoke` — CI-sized: small shapes, few iterations, exits non-zero
 //!   only on correctness mismatch (never on timing).
@@ -16,7 +17,7 @@
 
 use nimble_bench::harness::{measure, render_table};
 use nimble_codegen::symbolic::{dense_symbolic_packed, DispatchLevel};
-use nimble_tensor::kernels::gemm::{gemm_packed, gemm_packed_cols, Epilogue, PackedB, PanelSplit};
+use nimble_tensor::kernels::gemm::{gemm_packed, Epilogue, PackedB, PanelSplit};
 use nimble_tensor::kernels::MatmulSchedule;
 use nimble_tensor::pool::{
     default_profile, parallel_chunks_mut, participants, with_forced_participants,
@@ -131,15 +132,14 @@ fn sweep_shape(
     }
 }
 
-/// The three dense drivers behind one call shape.
-const DRIVERS: [&str; 3] = ["gemm_packed", "gemm_packed_cols", "symbolic/8"];
+/// The library and symbolic entry points to the one dense driver.
+const DRIVERS: [&str; 2] = ["gemm_packed", "symbolic/8"];
 
 fn run_driver(driver: usize, a: &[f32], pb: &PackedB, m: usize, out: &mut [f32]) {
     let profile = default_profile();
     let sched = MatmulSchedule::for_profile(profile).sanitized();
     match driver {
         0 => gemm_packed(profile, a, pb, m, out, sched, &Epilogue::NONE),
-        1 => gemm_packed_cols(profile, a, pb, m, out, sched, &Epilogue::NONE),
         _ => dense_symbolic_packed(a, pb, m, out, DispatchLevel::Dispatch8, None),
     }
 }
@@ -166,12 +166,10 @@ fn short_m_sweep(smoke: bool, warmup: usize, iters: usize) -> Vec<(String, Vec<f
         for &m in ms {
             let (a, bt) = operands(m, n, k);
             let pb = PackedB::pack_bt(&bt, n, k, sched.tile_k);
+            let split = PanelSplit::plan(profile, m, &pb, sched.tile_m, sched.tile_n);
+            let used = participants(profile, 2 * m * n * k).min(split.tasks());
+            let mut library: Option<Vec<f32>> = None;
             for (driver, name) in DRIVERS.iter().enumerate() {
-                // Row strips as the driver cuts them: all rows for the
-                // column driver, `tile_m` for the other two.
-                let row_step = if driver == 1 { m } else { sched.tile_m };
-                let split = PanelSplit::plan(profile, m, &pb, row_step, sched.tile_n);
-                let used = participants(profile, 2 * m * n * k).min(split.tasks());
                 let time = |out: &mut [f32]| {
                     measure(warmup, iters, || {
                         for _ in 0..reps {
@@ -190,6 +188,13 @@ fn short_m_sweep(smoke: bool, warmup: usize, iters: usize) -> Vec<(String, Vec<f
                         .zip(&pooled)
                         .all(|(s, p)| s.to_bits() == p.to_bits()),
                     "{name} m={m} k={k} n={n}: pool output differs from one participant"
+                );
+                let want = library.get_or_insert_with(|| pooled.clone());
+                assert!(
+                    want.iter()
+                        .zip(&pooled)
+                        .all(|(w, p)| w.to_bits() == p.to_bits()),
+                    "{name} m={m} k={k} n={n}: output differs from gemm_packed"
                 );
                 let per_call = t_pool.as_secs_f64() / reps as f64;
                 rows.push((

@@ -22,7 +22,7 @@
 //! asserting the batched outputs are **bitwise identical** to the
 //! unbatched ones, that real batches formed, that nothing is lost, and
 //! that batched throughput at 2x overload beats unbatched (>= 1.8x under
-//! `--full`). Results land in `BENCH_batching.json`.
+//! `--full`). A `--full` run writes its results to `BENCH_batching.json`.
 
 use nimble_bench::harness::Effort;
 use nimble_bench::workload::mrpc_lengths;
@@ -308,7 +308,8 @@ fn overload_mixes(mixes: &[ClientMix], burst: usize) -> Vec<ClientMix> {
 }
 
 /// The `--batching` A/B: bitwise identity, then 2x-overload throughput,
-/// unbatched stack vs batch-planned stack; writes BENCH_batching.json.
+/// unbatched stack vs batch-planned stack; `--full` writes
+/// BENCH_batching.json.
 fn batching_mode(effort: Effort) {
     let full = effort == Effort::full();
     println!("serve_mix --batching: dynamic batching A/B ({effort:?})");
@@ -479,8 +480,11 @@ fn batching_mode(effort: Effort) {
         pad_waste,
         speedup,
     );
-    std::fs::write("BENCH_batching.json", json).expect("write BENCH_batching.json");
-    println!("wrote BENCH_batching.json");
+    // Only a full run updates the committed trajectory.
+    if full {
+        std::fs::write("BENCH_batching.json", json).expect("write BENCH_batching.json");
+        println!("wrote BENCH_batching.json");
+    }
     println!("serve_mix --batching: OK");
 }
 

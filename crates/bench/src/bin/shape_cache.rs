@@ -14,8 +14,8 @@
 //! 3. under `--full`, **>= 1.2x p50** on the hot shape after warmup
 //!    (the concretized kernel vs the symbolic one).
 //!
-//! Results land in `BENCH_specialize.json`; `--smoke` (the default
-//! effort) is wired into CI.
+//! A `--full` run writes its results to `BENCH_specialize.json`;
+//! `--smoke` (the default effort) is wired into CI and writes nothing.
 
 use nimble_bench::harness::Effort;
 use nimble_core::{CompileOptions, EngineConfig};
@@ -257,7 +257,10 @@ fn main() {
         p50_on.as_secs_f64() * 1e6,
         speedup,
     );
-    std::fs::write("BENCH_specialize.json", json).expect("write BENCH_specialize.json");
-    println!("wrote BENCH_specialize.json");
+    // Only a full run updates the committed trajectory.
+    if full {
+        std::fs::write("BENCH_specialize.json", json).expect("write BENCH_specialize.json");
+        println!("wrote BENCH_specialize.json");
+    }
     println!("shape_cache: OK");
 }

@@ -14,7 +14,7 @@
 //! * `--full`  — the numbers recorded in EXPERIMENTS.md; gates ≥2× on at
 //!   least one vecmath kernel and ≥1.3× on the BERT-shape GEMM.
 //!
-//! Results land in `BENCH_simd.json`.
+//! A `--full` run writes its results to `BENCH_simd.json`.
 
 use nimble_bench::harness::{measure, render_table};
 use nimble_simd::vecmath::{
@@ -233,8 +233,11 @@ fn main() {
     }
     json.push_str("  ],\n  \"gemm_outputs\": \"bitwise-identical\",\n");
     json.push_str("  \"vecmath_outputs\": \"within documented ULP contract\"\n}\n");
-    std::fs::write("BENCH_simd.json", json).expect("write BENCH_simd.json");
-    println!("wrote BENCH_simd.json");
+    // Only a full run updates the committed trajectory.
+    if full {
+        std::fs::write("BENCH_simd.json", json).expect("write BENCH_simd.json");
+        println!("wrote BENCH_simd.json");
+    }
 
     // Timing gates. Smoke keeps the weakest possible claim (noisy CI
     // boxes): *some* kernel must beat forced-scalar.

@@ -8,13 +8,16 @@
 use crate::harness::{measure, render_table, us_per_token, Effort, Platform};
 use crate::systems;
 use crate::workload;
-use nimble_codegen::symbolic::{dense_symbolic, DispatchLevel};
+use nimble_codegen::symbolic::{dense_symbolic_packed, DispatchLevel};
 use nimble_core::{compile, CompileOptions, StaticGraph};
 use nimble_device::{DeviceId, DeviceSet};
 use nimble_frameworks::eager;
 use nimble_models::{
     cv, BertConfig, BertModel, LstmConfig, LstmModel, TreeLstmConfig, TreeLstmModel,
 };
+use nimble_tensor::kernels::gemm::PackedB;
+use nimble_tensor::kernels::MatmulSchedule;
+use nimble_tensor::pool::default_profile;
 use nimble_tensor::Tensor;
 use nimble_vm::{Object, VirtualMachine};
 use std::sync::Arc;
@@ -356,12 +359,15 @@ pub fn figure3_symbolic(effort: Effort) -> TableResult {
         let x_max = *ms.iter().max().expect("nonempty") * k;
         let xbuf: Vec<f32> = (0..x_max).map(|i| (i % 17) as f32 * 0.05).collect();
         let wt: Vec<f32> = (0..n * k).map(|i| (i % 13) as f32 * 0.05).collect();
+        // Weights are packed once, at "compile time", as SymbolicDense does.
+        let tile_k = MatmulSchedule::for_profile(default_profile()).tile_k;
+        let pb = PackedB::pack_bt(&wt, n, k, tile_k);
         let mut latencies = Vec::new();
         for level in levels {
             let d = measure(effort.warmup, effort.iters, || {
                 for &m in &ms {
                     let mut out = vec![0.0f32; m * n];
-                    dense_symbolic(&xbuf[..m * k], &wt, m, n, k, &mut out, level);
+                    dense_symbolic_packed(&xbuf[..m * k], &pb, m, &mut out, level, None);
                     std::hint::black_box(&out);
                 }
             });

@@ -1,106 +1,14 @@
-//! Profiling-based kernel selection (Section 4.5, dispatch extension).
+//! Measured schedule selection (Section 4.5, dispatch extension).
 //!
 //! "The dispatch function can be extended to invoke either compiler
 //! generated kernels or third party library whichever is faster from the
-//! profiling results." This module implements that extension: candidate
-//! dense implementations — the residue-dispatch *generated* kernel and the
-//! unrolled-reduction *library* kernel (standing in for MKL/cuDNN) — are
-//! profiled on first use per weight shape, and the faster one is cached
-//! and dispatched thereafter.
+//! profiling results." Generated and library dense kernels are one
+//! microkernel here, so what is left to pick by measurement is the
+//! schedule: [`select_schedule`] races tuner candidates against the
+//! default on the shapes that matter and keeps the winner.
 
-use crate::symbolic::{dense_symbolic, DispatchLevel};
 use crate::tuner;
-use nimble_tensor::kernels::{dense, MatmulSchedule};
-use nimble_tensor::{Result as TResult, Tensor};
-use parking_lot::RwLock;
-use std::collections::HashMap;
-use std::time::Instant;
-
-/// Which implementation won the profile race.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DenseImpl {
-    /// Compiler-generated residue-dispatch kernel.
-    Generated,
-    /// "Third-party library" kernel (the tensor crate's tuned dense).
-    Library,
-}
-
-/// A dispatching dense operator that profiles its candidates per weight
-/// shape and remembers the winner.
-#[derive(Debug, Default)]
-pub struct SelectingDense {
-    choices: RwLock<HashMap<(usize, usize), DenseImpl>>,
-}
-
-impl SelectingDense {
-    /// Fresh selector with no profile history.
-    pub fn new() -> SelectingDense {
-        SelectingDense::default()
-    }
-
-    /// The cached choice for a weight shape, if profiled already.
-    pub fn choice(&self, n: usize, k: usize) -> Option<DenseImpl> {
-        self.choices.read().get(&(n, k)).copied()
-    }
-
-    /// Number of profiled shapes.
-    pub fn profiled_shapes(&self) -> usize {
-        self.choices.read().len()
-    }
-
-    fn run_generated(x: &Tensor, w: &Tensor) -> TResult<Tensor> {
-        let k = *x.dims().last().expect("rank >= 1");
-        let n = w.dims()[0];
-        let m: usize = x.dims()[..x.rank() - 1].iter().product();
-        let mut out = vec![0.0f32; m * n];
-        dense_symbolic(
-            x.as_f32()?,
-            w.as_f32()?,
-            m,
-            n,
-            k,
-            &mut out,
-            DispatchLevel::Dispatch8,
-        );
-        let mut shape = x.dims()[..x.rank() - 1].to_vec();
-        shape.push(n);
-        Tensor::from_vec_f32(out, &shape)
-    }
-
-    /// Execute `x · wᵀ`, profiling both implementations on first encounter
-    /// of this weight shape.
-    ///
-    /// # Errors
-    /// Propagates shape/dtype failures from the kernels.
-    pub fn run(&self, x: &Tensor, w: &Tensor) -> TResult<Tensor> {
-        let key = (w.dims()[0], w.dims()[1]);
-        let chosen = self.choice(key.0, key.1);
-        match chosen {
-            Some(DenseImpl::Generated) => Self::run_generated(x, w),
-            Some(DenseImpl::Library) => dense(x, w, None),
-            None => {
-                // Profile: time each candidate once on the live input (the
-                // warm-up inference doubles as the profile run).
-                let t0 = Instant::now();
-                let gen_out = Self::run_generated(x, w)?;
-                let gen_time = t0.elapsed();
-                let t1 = Instant::now();
-                let lib_out = dense(x, w, None)?;
-                let lib_time = t1.elapsed();
-                let winner = if gen_time <= lib_time {
-                    DenseImpl::Generated
-                } else {
-                    DenseImpl::Library
-                };
-                self.choices.write().insert(key, winner);
-                // Either output is valid; return the library one (computed
-                // last, still warm in cache).
-                let _ = gen_out;
-                Ok(lib_out)
-            }
-        }
-    }
-}
+use nimble_tensor::kernels::MatmulSchedule;
 
 /// Outcome of [`select_schedule`]: the measured winner plus the default
 /// schedule's cost on the same shapes, for regression checks.
@@ -168,29 +76,6 @@ pub fn select_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-
-    #[test]
-    fn profiles_once_then_caches() {
-        let sel = SelectingDense::new();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let x = Tensor::rand_f32(&mut rng, &[5, 16], 1.0);
-        let w = Tensor::rand_f32(&mut rng, &[8, 16], 1.0);
-        assert_eq!(sel.choice(8, 16), None);
-        let out1 = sel.run(&x, &w).unwrap();
-        assert!(sel.choice(8, 16).is_some());
-        assert_eq!(sel.profiled_shapes(), 1);
-        // Subsequent runs dispatch to the cached winner and agree
-        // numerically.
-        let out2 = sel.run(&x, &w).unwrap();
-        for (a, b) in out1.as_f32().unwrap().iter().zip(out2.as_f32().unwrap()) {
-            assert!((a - b).abs() < 1e-4);
-        }
-        // A new shape profiles separately.
-        let w2 = Tensor::rand_f32(&mut rng, &[4, 16], 1.0);
-        sel.run(&x, &w2).unwrap();
-        assert_eq!(sel.profiled_shapes(), 2);
-    }
 
     #[test]
     fn select_schedule_never_worse_than_default() {
@@ -214,18 +99,5 @@ mod tests {
             choice.cost,
             choice.default_cost
         );
-    }
-
-    #[test]
-    fn both_impls_agree() {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-        let x = Tensor::rand_f32(&mut rng, &[7, 12], 1.0);
-        let w = Tensor::rand_f32(&mut rng, &[5, 12], 1.0);
-        let a = SelectingDense::run_generated(&x, &w).unwrap();
-        let b = dense(&x, &w, None).unwrap();
-        assert_eq!(a.dims(), b.dims());
-        for (p, q) in a.as_f32().unwrap().iter().zip(b.as_f32().unwrap()) {
-            assert!((p - q).abs() < 1e-4);
-        }
     }
 }

@@ -4,30 +4,33 @@
 //! sequence length) cannot prove that its row-tiling loop bounds divide
 //! evenly, so boundary checks survive in the hot loop and block unrolling.
 //!
-//! The paper's solution, reproduced here: pick a tiling factor (8), then
-//! *duplicate* the kernel for each residue `r = m mod 8`, substituting
-//! `m = 8·q + r` so the tail length is a compile-time constant in each
-//! copy, and emit a **dispatch function** that selects the right copy from
-//! the runtime shape. Rust's const generics play the role of TVM's
-//! specialized codegen: `panel_const::<R>` has a compile-time trip count
-//! (fully unrolled, no per-row branch) while the unspecialized
-//! `panel_masked` keeps an `if row < m` predicate in the innermost loop.
+//! The paper's solution, reproduced here: pick a tiling factor (8, the
+//! GEMM microkernel's `MR`: "the auto-tuning algorithm chooses to tile the
+//! symbolic dimension … by a factor of 8"), then *duplicate* the kernel for
+//! each residue `r = m mod 8`, substituting `m = 8·q + r` so the tail
+//! length is a compile-time constant in each copy, and emit a **dispatch
+//! function** that selects the right copy from the runtime shape. The
+//! copies are the kernel library's own microkernel:
+//! `nimble_tensor`'s `micro::<S, EDGE, R>` is const-generic in its row
+//! count `R` (Rust's const generics play the role of TVM's specialized
+//! codegen — every row loop unrolls), and one more instance takes its row
+//! count as a runtime value, the predicated copy that keeps a boundary
+//! check on every row.
 //!
-//! Generating fewer than 8 copies (`dispatch/4`, `dispatch/2`) leaves some
-//! tail length dynamic and re-introduces branches; generating one copy
-//! (`no dispatch`) predicates *every* row block. Figure 3 measures exactly
-//! this spectrum.
+//! A [`DispatchLevel`] is the set of const-`R` copies generated
+//! ([`DispatchLevel::row_instances`]). Generating fewer than 8
+//! (`dispatch/4`, `dispatch/2`) leaves part of some tails to the runtime
+//! copy; generating none (`no dispatch`) predicates *every* row block.
+//! Figure 3 measures exactly this spectrum on the production kernel.
 //!
-//! The weight side reads the same packed-panel layout as the blocked GEMM
-//! in `nimble-tensor` ([`PackedB`]: `NR`-column, k-major panels), and
-//! [`SymbolicDense`] obtains those panels from the process-wide pre-pack
-//! cache — so every residue variant of a layer shares one packed copy of
-//! its weights and symbolic dispatch pays no per-call layout cost. The
-//! accumulation order per output element is strictly increasing `k`,
-//! matching the blocked GEMM, so all dispatch levels (and the library
-//! kernel on the Server profile) agree bitwise.
+//! The weight side is the blocked GEMM's packed-panel layout ([`PackedB`]),
+//! and [`SymbolicDense`] obtains those panels from the process-wide
+//! pre-pack cache — so every residue variant of a layer shares one packed
+//! copy of its weights and symbolic dispatch pays no per-call layout cost.
+//! Every copy reduces each output element in strictly increasing `k`, so
+//! all dispatch levels and the library `dense` agree bitwise.
 
-use nimble_tensor::kernels::gemm::{PackedB, PanelBlock, PanelSplit, NR};
+use nimble_tensor::kernels::gemm::{gemm_packed_dispatch, Epilogue, PackedB, ALL_ROWS};
 use nimble_tensor::kernels::MatmulSchedule;
 use nimble_tensor::pool::default_profile;
 use nimble_tensor::{prepack, Result as TResult, Tensor, TensorError};
@@ -41,9 +44,9 @@ pub enum DispatchLevel {
     Static,
     /// 8 copies — one per residue; tails are compile-time constants.
     Dispatch8,
-    /// 4 copies — residue known up to a pair; one dynamic branch remains.
+    /// 4 copies — residue known up to a pair; an odd row stays dynamic.
     Dispatch4,
-    /// 2 copies — residue known up to a quad; two dynamic branches remain.
+    /// 2 copies — residue known up to a quad; up to 3 rows stay dynamic.
     Dispatch2,
     /// 1 copy — nothing known; every row block is predicated.
     NoDispatch,
@@ -71,137 +74,24 @@ impl DispatchLevel {
             DispatchLevel::NoDispatch => "no dispatch",
         }
     }
-}
 
-/// Row-tiling factor chosen by the tuner for the BERT dense layers ("the
-/// auto-tuning algorithm chooses to tile the symbolic dimension … by a
-/// factor of 8 in all three kernels"). Equals the GEMM microkernel's `MR`.
-pub const TILE: usize = 8;
-
-/// Compute `ROWS` output rows against the task's packed weight panels with
-/// compile-time `ROWS`: the row loop fully unrolls and each packed weight
-/// lane feeds `ROWS` accumulators, with no per-row branch.
-#[inline]
-fn panel_const<const ROWS: usize>(
-    x: &[f32],
-    pb: &PackedB,
-    blk: &mut PanelBlock<'_>,
-    row0: usize,
-    bias: Option<&[f32]>,
-) {
-    if ROWS == 0 {
-        return;
-    }
-    let (n, k) = (pb.n(), pb.k());
-    for jp_idx in blk.panels() {
-        let j0 = jp_idx * NR;
-        let cols = NR.min(n - j0);
-        let mut acc = [[0.0f32; NR]; ROWS];
-        for block in 0..pb.k_blocks() {
-            let k0 = pb.block_k0(block);
-            let kc = pb.block_kc(block);
-            let bp = pb.panel(block, jp_idx);
-            for kk in 0..kc {
-                let b = &bp[kk * NR..kk * NR + NR];
-                for r in 0..ROWS {
-                    let a = x[(row0 + r) * k + k0 + kk];
-                    for c in 0..NR {
-                        acc[r][c] += a * b[c];
-                    }
-                }
-            }
+    /// The const-row microkernel copies this level generates, as a
+    /// [`gemm_packed_dispatch`] instance set (bit `R` = the `R`-row copy):
+    /// every row count, the multiples of 2, the multiples of 4, or none.
+    pub fn row_instances(self) -> u16 {
+        match self {
+            DispatchLevel::Static | DispatchLevel::Dispatch8 => ALL_ROWS,
+            DispatchLevel::Dispatch4 => 0b1_0101_0100,
+            DispatchLevel::Dispatch2 => 0b1_0001_0000,
+            DispatchLevel::NoDispatch => 0,
         }
-        for (r, acc_row) in acc.iter().enumerate() {
-            write_row(blk, row0 + r, j0, &acc_row[..cols], bias);
-        }
-    }
-}
-
-/// The unspecialized panel: identical structure, but the row count is a
-/// runtime value so a boundary predicate survives in the innermost loop —
-/// the "boundary condition checks … leading to poor performance" of
-/// Section 4.5.
-#[inline]
-fn panel_masked(
-    x: &[f32],
-    pb: &PackedB,
-    m: usize,
-    blk: &mut PanelBlock<'_>,
-    row0: usize,
-    bias: Option<&[f32]>,
-) {
-    let (n, k) = (pb.n(), pb.k());
-    for jp_idx in blk.panels() {
-        let j0 = jp_idx * NR;
-        let cols = NR.min(n - j0);
-        let mut acc = [[0.0f32; NR]; TILE];
-        for block in 0..pb.k_blocks() {
-            let k0 = pb.block_k0(block);
-            let kc = pb.block_kc(block);
-            let bp = pb.panel(block, jp_idx);
-            for kk in 0..kc {
-                let b = &bp[kk * NR..kk * NR + NR];
-                for r in 0..TILE {
-                    // The check the specialized copies eliminate:
-                    if row0 + r < m {
-                        let a = x[(row0 + r) * k + k0 + kk];
-                        for c in 0..NR {
-                            acc[r][c] += a * b[c];
-                        }
-                    }
-                }
-            }
-        }
-        for (r, acc_row) in acc.iter().enumerate() {
-            if row0 + r < m {
-                write_row(blk, row0 + r, j0, &acc_row[..cols], bias);
-            }
-        }
-    }
-}
-
-/// Store one accumulator row (plus bias) into the task's output window.
-#[inline(always)]
-fn write_row(blk: &mut PanelBlock<'_>, row: usize, j0: usize, acc: &[f32], bias: Option<&[f32]>) {
-    let orow = blk.out_row(row, j0, acc.len());
-    for (c, (o, &v)) in orow.iter_mut().zip(acc).enumerate() {
-        *o = match bias {
-            Some(bs) => v + bs[j0 + c],
-            None => v,
-        };
-    }
-}
-
-/// Run the compile-time tail for a constant residue.
-fn tail_const(
-    x: &[f32],
-    pb: &PackedB,
-    blk: &mut PanelBlock<'_>,
-    row0: usize,
-    r: usize,
-    bias: Option<&[f32]>,
-) {
-    match r {
-        0 => {}
-        1 => panel_const::<1>(x, pb, blk, row0, bias),
-        2 => panel_const::<2>(x, pb, blk, row0, bias),
-        3 => panel_const::<3>(x, pb, blk, row0, bias),
-        4 => panel_const::<4>(x, pb, blk, row0, bias),
-        5 => panel_const::<5>(x, pb, blk, row0, bias),
-        6 => panel_const::<6>(x, pb, blk, row0, bias),
-        7 => panel_const::<7>(x, pb, blk, row0, bias),
-        _ => unreachable!("residue < 8"),
     }
 }
 
 /// Dense `out[m,n] = x[m,k] · Bᵀ (+ bias)` over pre-packed weight panels
-/// with the given dispatch level. The dispatch itself (the `match` on
-/// `m % 8`) is what the paper's generated dispatch function performs before
-/// jumping to the selected kernel copy.
-///
-/// Work is cut by the kernel library's [`PanelSplit`], like the blocked
-/// GEMM: each task runs the selected copy — main 8-row blocks, then the
-/// residue tail if the task holds the last rows — over its own panel range.
+/// with the given dispatch level: the library GEMM driver with its residue
+/// dispatch restricted to the level's kernel copies, on the active ISA and
+/// the default execution profile.
 pub fn dense_symbolic_packed(
     x: &[f32],
     pb: &PackedB,
@@ -210,70 +100,28 @@ pub fn dense_symbolic_packed(
     level: DispatchLevel,
     bias: Option<&[f32]>,
 ) {
-    let (n, k) = (pb.n(), pb.k());
-    debug_assert_eq!(x.len(), m * k);
-    debug_assert_eq!(out.len(), m * n);
     let profile = default_profile();
-    // Strips of whole `TILE` blocks (`sanitized` rounds `tile_m` to `MR`).
-    let sched = MatmulSchedule::for_profile(profile).sanitized();
-    let r = m % TILE;
-    PanelSplit::plan(profile, m, pb, sched.tile_m, sched.tile_n).run(out, |blk| {
-        let rows = blk.rows();
-        let tail0 = rows.start + rows.len() / TILE * TILE;
-        // Only the strip that ends the matrix has a partial block.
-        let r = if rows.end == m { r } else { 0 };
-        // Unrolled main blocks of every specialized copy: no boundary checks.
-        let main = |blk: &mut PanelBlock<'_>| {
-            for b0 in (rows.start..tail0).step_by(TILE) {
-                panel_const::<TILE>(x, pb, blk, b0, bias);
-            }
-        };
-        match level {
-            DispatchLevel::Static | DispatchLevel::Dispatch8 => {
-                // Kernel copy for exact residue r: a fully-unrolled
-                // constant tail.
-                main(blk);
-                tail_const(x, pb, blk, tail0, r, bias);
-            }
-            DispatchLevel::Dispatch4 => {
-                // Copy selected by r / 2: the even part of the tail is a
-                // compile-time constant, parity costs one dynamic branch.
-                main(blk);
-                let even = r & !1;
-                tail_const(x, pb, blk, tail0, even, bias);
-                if r & 1 == 1 {
-                    panel_const::<1>(x, pb, blk, tail0 + even, bias);
-                }
-            }
-            DispatchLevel::Dispatch2 => {
-                // Copy selected by r / 4: two dynamic branches remain.
-                main(blk);
-                let quad = r & !3;
-                tail_const(x, pb, blk, tail0, quad, bias);
-                let mut row = tail0 + quad;
-                if r & 2 == 2 {
-                    panel_const::<2>(x, pb, blk, row, bias);
-                    row += 2;
-                }
-                if r & 1 == 1 {
-                    panel_const::<1>(x, pb, blk, row, bias);
-                }
-            }
-            DispatchLevel::NoDispatch => {
-                // The single symbolic kernel: the compiler cannot prove any
-                // block is full, so every block runs predicated.
-                for b0 in rows.clone().step_by(TILE) {
-                    panel_masked(x, pb, m, blk, b0, bias);
-                }
-            }
-        }
-    });
+    let sched = MatmulSchedule {
+        tile_k: pb.tile_k(),
+        ..MatmulSchedule::for_profile(profile)
+    };
+    gemm_packed_dispatch(
+        nimble_simd::active(),
+        level.row_instances(),
+        profile,
+        x,
+        pb,
+        m,
+        out,
+        sched,
+        &Epilogue { bias, unary: &[] },
+    );
 }
 
 /// Slice-level entry point: packs `wt` (`[n, k]`) transiently and runs
-/// [`dense_symbolic_packed`]. Benchmarks and the kernel selector use this
-/// when they only hold raw buffers; kernels with a weight *tensor* go
-/// through [`SymbolicDense`], which shares the pre-pack cache.
+/// [`dense_symbolic_packed`]. Examples use this when they only hold raw
+/// buffers; kernels with a weight *tensor* go through [`SymbolicDense`],
+/// which shares the pre-pack cache.
 pub fn dense_symbolic(
     x: &[f32],
     wt: &[f32],

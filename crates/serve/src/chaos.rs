@@ -43,6 +43,7 @@ use nimble_specialize::{ModelSpecializer, SpecializeConfig};
 use nimble_tensor::prepack;
 use nimble_vm::Object;
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -295,9 +296,16 @@ impl ChaosHarness {
     /// # Panics
     /// On any invariant violation — that is the harness's job.
     pub fn run(mut self) -> ChaosReport {
+        // The first `KINDS.len()` episodes deal every kind once, in seeded
+        // order, so even a short run exercises each fault; then draw freely.
+        let mut deal: Vec<usize> = (0..KINDS.len()).collect();
+        deal.shuffle(&mut self.rng);
         for _ in 0..self.config.episodes {
+            let kind = match deal.get(self.episode as usize) {
+                Some(&kind) => kind,
+                None => self.rng.gen_range(0..KINDS.len()),
+            };
             self.episode += 1;
-            let kind = self.rng.gen_range(0..KINDS.len());
             let model = self.rng.gen_range(0..self.models.len());
             let _span =
                 nimble_obs::span_full(KINDS[kind], Category::Chaos, u64::from(self.episode));

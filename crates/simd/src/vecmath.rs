@@ -410,15 +410,17 @@ unsafe fn softmax_strip_v<S: SimdF32>(src: &[f32], dst: &mut [f32]) {
         vsum = vsum.add(e);
         i += S::LANES;
     }
-    let mut denom = vsum.reduce_add();
     if i < n {
         let tail = n - i;
         let e = exp_v::<S>(S::load_tail(&src[i..]).sub(vm));
         e.store_tail(&mut dst[i..]);
         // Padding lanes hold exp(0−m) garbage; mask them out of the sum.
-        denom += e.and(S::tail_mask(tail)).reduce_add();
+        // The tail joins the lane sums before the one reduction, so element
+        // `i` always lands in lane `i mod LANES`: right-padding the strip
+        // with `-inf` (adding `+0.0`s) never moves a bit.
+        vsum = vsum.add(e.and(S::tail_mask(tail)));
     }
-    let vd = S::splat(denom);
+    let vd = S::splat(vsum.reduce_add());
     let mut i = 0;
     while i + S::LANES <= n {
         S::load(&dst[i..]).div(vd).store(&mut dst[i..]);

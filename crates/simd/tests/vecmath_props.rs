@@ -263,6 +263,39 @@ proptest! {
         }
     }
 
+    /// Right-padding a strip with `-inf` (masked attention keys) never
+    /// moves a bit of the real entries, under every backend: each element
+    /// joins the same lane sum whatever the strip length.
+    #[test]
+    fn softmax_strip_padding_is_bitwise_inert(
+        seed in 0u64..u64::MAX,
+        len in 1usize..70,
+        pad in 1usize..20,
+    ) {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            (s as f64 / u64::MAX as f64) as f32 * 16.0 - 8.0
+        };
+        let src: Vec<f32> = (0..len).map(|_| next()).collect();
+        let mut padded = src.clone();
+        padded.resize(len + pad, f32::NEG_INFINITY);
+        for isa in nimble_simd::available() {
+            let mut want = vec![0.0f32; len];
+            softmax_strip(isa, &src, &mut want);
+            let mut got = vec![0.0f32; len + pad];
+            softmax_strip(isa, &padded, &mut got);
+            for (i, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?} softmax[{}] len {} pad {}", isa, i, len, pad);
+            }
+            for &g in &got[len..] {
+                prop_assert_eq!(g.to_bits(), 0.0f32.to_bits(), "{:?} padded key not +0", isa);
+            }
+        }
+    }
+
     #[test]
     fn layer_norm_strip_matches_scalar_reference(
         seed in 0u64..u64::MAX,

@@ -17,11 +17,8 @@
 //!    existing `search_space`/`measure`/`top_configs` tuner against the
 //!    exact shape, budgeted to `max_trials` proxy measurements and
 //!    `top_k` exact-shape candidates (Vortex-style bounded online
-//!    search), pre-packs the weight at the tuned `tile_k`, and races the
-//!    row-parallel GEMM driver against the column-parallel one
-//!    (`gemm_packed_cols`) on the captured real operands — short-row
-//!    shapes, where row strips cannot use the pool, typically win big
-//!    from the column split, and both drivers are bitwise identical.
+//!    search), races the winners against the default schedule on the
+//!    exact shape, and pre-packs the weight at the tuned `tile_k`.
 //! 3. **Verify + install** — the candidate kernel is probe-run against
 //!    the symbolic fallback on the real inputs captured at threshold
 //!    time; only a **bitwise-identical** candidate is installed
@@ -42,7 +39,7 @@ use nimble_codegen::{
     select_schedule, tune_dense_symbolic, DenseSpec, Kernel, KernelError, TunerConfig,
 };
 use nimble_obs::hist::{Histogram, HistogramSnapshot};
-use nimble_tensor::kernels::gemm::{gemm_packed, gemm_packed_cols, Epilogue};
+use nimble_tensor::kernels::gemm::{gemm_packed, Epilogue};
 use nimble_tensor::kernels::MatmulSchedule;
 use nimble_tensor::pool::default_profile;
 use nimble_tensor::{prepack, Tensor};
@@ -571,65 +568,18 @@ impl ModelSpecializer {
         let pb = prepack::get_or_pack(&w, n, k, sched.tile_k).ok()?;
         let pack_key = (!is_base_layout).then_some((w.buffer_id(), n, k, sched.tile_k.max(1)));
 
-        // Driver race on the real captured operands: with `m` below the
-        // row-strip size the row-parallel driver runs serial, while the
-        // column-parallel driver splits B panels across the pool and is
-        // bitwise identical by construction. Keep whichever measures
-        // faster on this exact shape.
-        let profile = default_profile();
-        let use_cols = match slot
-            .spec
-            .x
-            .resolve(&job.inputs)
-            .and_then(|x| x.as_f32().ok())
-        {
-            Some(xa) if xa.len() == job.m * k => {
-                let mut out = vec![0.0f32; job.m * n];
-                let mut bench = |cols: bool| {
-                    let mut best = u64::MAX;
-                    // Iteration 0 is warm-up and never scored.
-                    for i in 0..=self.cfg.repeats.max(1) {
-                        let t0 = Instant::now();
-                        if cols {
-                            gemm_packed_cols(
-                                profile,
-                                xa,
-                                &pb,
-                                job.m,
-                                &mut out,
-                                sched,
-                                &Epilogue::NONE,
-                            );
-                        } else {
-                            gemm_packed(profile, xa, &pb, job.m, &mut out, sched, &Epilogue::NONE);
-                        }
-                        let dt = t0.elapsed().as_nanos() as u64;
-                        if i > 0 {
-                            best = best.min(dt);
-                        }
-                    }
-                    best
-                };
-                let rows_t = bench(false);
-                let cols_t = bench(true);
-                cols_t < rows_t
-            }
-            _ => false,
-        };
-
         let kernel = {
             let spec = Arc::clone(spec);
             let fallback = slot.fallback.clone();
             let pb = Arc::clone(&pb);
             let weight_id = w.buffer_id();
-            // The driver race and the installed kernel both inherit the
+            // The schedule race and the installed kernel both inherit the
             // process-wide active SIMD backend; record it in the name so
             // traces show which ISA the winning measurement ran under.
             let name = format!(
-                "{}@m={}[{sched:?}{},{}]",
+                "{}@m={}[{sched:?},{}]",
                 slot.fallback.name(),
                 job.m,
-                if use_cols { ",cols" } else { "" },
                 nimble_simd::active().label()
             );
             Kernel::new(&name, move |inputs: &[Tensor]| {
@@ -663,11 +613,7 @@ impl ModelSpecializer {
                     bias: bb,
                     unary: &spec.unary,
                 };
-                if use_cols {
-                    gemm_packed_cols(default_profile(), xa, &pb, m, &mut out, sched, &ep);
-                } else {
-                    gemm_packed(default_profile(), xa, &pb, m, &mut out, sched, &ep);
-                }
+                gemm_packed(default_profile(), xa, &pb, m, &mut out, sched, &ep);
                 let mut shape = x.dims()[..x.rank() - 1].to_vec();
                 shape.push(n);
                 Tensor::from_vec_f32(out, &shape)

@@ -12,25 +12,31 @@
 //!   width.
 //! * **A packing**: each `tile_m` strip of A is repacked on the fly into
 //!   `MR`-row panels (k-major, same `tile_k` blocking), so the microkernel
-//!   reads both operands as contiguous streams. The pack buffer is a
+//!   reads both operands as contiguous streams. The strip's last panel
+//!   holds exactly `rows mod MR` rows — no zero rows. The pack buffer is a
 //!   per-thread scratch reused across calls.
 //! * **Work decomposition** ([`PanelSplit`]): one rule cuts `out[m, n]` into
-//!   row strips × groups of `NR`-column panels for every dense driver —
-//!   [`gemm_packed`], [`gemm_packed_cols`] and `nimble-codegen`'s symbolic
-//!   dense. Enough row strips for every participant: rows only. Fewer
-//!   (short `m`): whole `tile_n` column blocks as well, with A packed once
-//!   and shared read-only.
-//! * **Microkernel**: an `MR×NR = 8×8` register accumulator tile,
+//!   row strips × groups of `NR`-column panels. Enough row strips for every
+//!   participant: rows only. Fewer (short `m`): whole `tile_n` column
+//!   blocks as well, with A packed once and shared read-only.
+//! * **Microkernel**: one body, `micro::<S, EDGE, R>` — an `R×NR` register
+//!   accumulator tile, `R ∈ 1..=MR` fixed at compile time (the loops
+//!   unroll) plus one instance whose row count is a runtime value. It is
 //!   width-generic over [`nimble_simd::SimdF32`] and monomorphized per ISA
-//!   behind `#[target_feature]` wrappers (AVX2+FMA / SSE2 / NEON, with the
-//!   original scalar loops as the always-available fallback). The Server
-//!   variant keeps 64 independent `acc += a*b` lanes (explicit mul-then-add,
-//!   never FMA — fusing would change the rounding); the Edge variant is a
-//!   strictly in-order `mul_add` dependence chain modelling a low-power
-//!   core, vectorized only on backends with a true fused multiply-add
-//!   (`f32::mul_add` and hardware FMA are both correctly rounded, so the
-//!   scalar and vector Edge kernels agree bitwise; SSE2 has no FMA and
-//!   takes the scalar Edge path).
+//!   behind `#[target_feature]` wrappers (AVX2+FMA / SSE2 / NEON, with
+//!   [`nimble_simd::ScalarF32`] as the always-available scalar backend).
+//!   The Server variant keeps independent `acc += a*b` lanes (explicit
+//!   mul-then-add, never FMA — fusing would change the rounding); the Edge
+//!   variant is a strictly in-order `mul_add` dependence chain modelling a
+//!   low-power core, vectorized only on backends with a true fused
+//!   multiply-add (`f32::mul_add` and hardware FMA are both correctly
+//!   rounded, so the scalar and vector Edge kernels agree bitwise; SSE2 has
+//!   no FMA and takes the scalar Edge path).
+//! * **Residue dispatch** (paper §4.5, [`gemm_packed_dispatch`]): full
+//!   `MR`-row blocks run the `R = MR` instance; the matrix's last block
+//!   runs the instance for its exact row count. A caller may restrict the
+//!   set of const-`R` instances (`nimble-codegen`'s `DispatchLevel`); rows
+//!   no instance covers go through the runtime-row instance.
 //!
 //! **Determinism across schedules *and* backends**: the accumulator tile
 //! stays register-resident across *all* `tile_k` blocks — the block loop is
@@ -38,10 +44,11 @@
 //! reduced in strictly increasing `k` order no matter the schedule. SIMD
 //! lanes map across the `NR` output columns, never across `k`, so each
 //! element keeps its own accumulator chain and every backend produces
-//! bitwise-identical results. This is what lets the tuner explore tile
-//! configs freely, the pre-pack cache share packed weights across residue
-//! variants, and `NIMBLE_SIMD` switch ISAs without changing a single bit of
-//! GEMM output.
+//! bitwise-identical results. Rows are independent too, so which row
+//! instance computes a row never matters either. This is what lets the
+//! tuner explore tile configs freely, the pre-pack cache share packed
+//! weights across residue variants, and `NIMBLE_SIMD` switch ISAs without
+//! changing a single bit of GEMM output.
 //!
 //! The epilogue (bias add + any fused trailing unary elementwise chain) is
 //! applied in the single write-out pass through
@@ -50,7 +57,7 @@
 //! chains touch the output exactly once.
 
 use crate::pool::{parallel_for, participants, ExecProfile, SendPtr, OVERSUBSCRIBE};
-use nimble_simd::{vecmath, Isa, SimdF32};
+use nimble_simd::{vecmath, Isa, ScalarF32, SimdF32};
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -61,6 +68,9 @@ pub use nimble_simd::vecmath::UnaryOp;
 pub const MR: usize = 8;
 /// Microkernel register-tile columns (B panel width).
 pub const NR: usize = 8;
+/// Every const-row microkernel instance, `R = 1..=MR`, as a
+/// [`gemm_packed_dispatch`] instance set (bit `R` = the `R`-row instance).
+pub const ALL_ROWS: u16 = ((1 << (MR + 1)) - 1) & !1;
 
 /// Output-pass fusion: bias add plus a chain of unary elementwise ops
 /// applied while the accumulator tile is written out.
@@ -404,268 +414,163 @@ fn with_a_pack<R>(f: impl FnOnce(&mut Vec<f32>) -> R) -> R {
     r
 }
 
-/// Pack a `rows`-row strip of `a: [m, k]` into `MR`-row k-major panels with
-/// the same `tile_k` blocking as [`PackedB`], zero-padding the row tail.
+/// Pack a `rows`-row strip of `a: [m, k]` into k-major row panels with the
+/// same `tile_k` blocking as [`PackedB`]: `MR` rows per panel, the last
+/// panel exactly as many rows as remain (no zero padding).
 ///
 /// Layout mirrors PackedB with rows in place of columns:
-/// `buf[block][row_panel][kk][0..MR]`, uniform block stride
-/// `m_panels * MR * tile_k`.
+/// `buf[block][row_panel][kk][0..panel_rows]`, uniform block stride
+/// `rows * tile_k`; the panel holding strip row `r0` (a multiple of `MR`)
+/// starts `r0 * kc` into its block.
 fn pack_a_strip(a: &[f32], k: usize, row0: usize, rows: usize, tile_k: usize, buf: &mut Vec<f32>) {
     let tile_k = tile_k.max(1);
-    let m_panels = rows.div_ceil(MR);
     let k_blocks = k.div_ceil(tile_k);
     buf.clear();
-    buf.resize(k_blocks * m_panels * MR * tile_k, 0.0);
+    buf.resize(k_blocks * rows * tile_k, 0.0);
     for block in 0..k_blocks {
         let k0 = block * tile_k;
         let kc = tile_k.min(k - k0);
-        for ip_idx in 0..m_panels {
-            let r0 = ip_idx * MR;
+        for r0 in (0..rows).step_by(MR) {
             let rcount = MR.min(rows - r0);
-            let start = block * m_panels * MR * tile_k + ip_idx * MR * kc;
-            let dst = &mut buf[start..start + MR * kc];
-            for (r, row) in (r0..r0 + rcount).enumerate() {
-                let src = &a[(row0 + row) * k + k0..(row0 + row) * k + k0 + kc];
+            let start = block * rows * tile_k + r0 * kc;
+            let dst = &mut buf[start..start + rcount * kc];
+            for r in 0..rcount {
+                let src = &a[(row0 + r0 + r) * k + k0..][..kc];
                 for (kk, &v) in src.iter().enumerate() {
-                    dst[kk * MR + r] = v;
+                    dst[kk * rcount + r] = v;
                 }
             }
         }
     }
 }
 
-/// Server microkernel: 64 independent accumulator lanes, auto-vectorizable.
-#[inline(always)]
-fn micro_server(ap: &[f32], bp: &[f32], acc: &mut [[f32; NR]; MR]) {
-    for (a, b) in ap.chunks_exact(MR).zip(bp.chunks_exact(NR)) {
-        for r in 0..MR {
-            let ar = a[r];
-            for c in 0..NR {
-                acc[r][c] += ar * b[c];
-            }
-        }
+/// One register tile's rows of a packed A strip: strip rows
+/// `row0..row0 + rows` (`row0` a multiple of `MR`), as [`pack_a_strip`]
+/// laid them out with block stride `block_stride`.
+#[derive(Clone, Copy)]
+struct ATile<'a> {
+    pack: &'a [f32],
+    block_stride: usize,
+    row0: usize,
+    rows: usize,
+}
+
+impl ATile<'_> {
+    /// The tile's `[kc][rows]` k-major panel in reduction block `block`.
+    #[inline(always)]
+    fn block(&self, block: usize, kc: usize) -> &[f32] {
+        &self.pack[block * self.block_stride + self.row0 * kc..][..self.rows * kc]
     }
 }
 
-/// Edge microkernel: strictly in-order scalar `mul_add` chains per output
-/// element, modelling the per-core throughput gap of a low-power core.
-#[inline(always)]
-fn micro_edge(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-    for r in 0..MR {
-        for c in 0..NR {
-            let mut s = acc[r][c];
-            for kk in 0..kc {
-                s = ap[kk * MR + r].mul_add(bp[kk * NR + c], s);
-            }
-            acc[r][c] = s;
-        }
-    }
-}
-
-/// Width-generic Server microkernel: `S::LANES` of the `NR` accumulator
-/// columns per vector register. Per output element this performs exactly
-/// [`micro_server`]'s mul-then-add in ascending-`k` order (never FMA), so
-/// results are bitwise identical to the scalar kernel on every backend.
-#[inline(always)]
-#[allow(clippy::needless_range_loop)]
-unsafe fn micro_server_v<S: SimdF32>(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-    let nch = NR / S::LANES;
-    let mut vacc = [[S::zero(); NR]; MR];
-    for r in 0..MR {
-        for c in 0..nch {
-            vacc[r][c] = S::load(&acc[r][c * S::LANES..]);
-        }
-    }
-    // SAFETY: callers pass `ap` of `MR * kc` and `bp` of `NR * kc`
-    // (`pack_a_strip` / `PackedB::panel` layouts); unchecked access keeps
-    // bounds checks out of the innermost loop.
-    for kk in 0..kc {
-        let bbase = bp.as_ptr().add(kk * NR);
-        let abase = ap.as_ptr().add(kk * MR);
-        let mut vb = [S::zero(); NR];
-        for c in 0..nch {
-            vb[c] = S::load(core::slice::from_raw_parts(
-                bbase.add(c * S::LANES),
-                S::LANES,
-            ));
-        }
-        for r in 0..MR {
-            let a = S::splat(*abase.add(r));
-            for c in 0..nch {
-                vacc[r][c] = vacc[r][c].add(a.mul(vb[c]));
-            }
-        }
-    }
-    for r in 0..MR {
-        for c in 0..nch {
-            vacc[r][c].store(&mut acc[r][c * S::LANES..]);
-        }
-    }
-}
-
-/// Width-generic Edge microkernel: the same ascending-`k` fused `mul_add`
-/// chain per element as [`micro_edge`]. Only selected on backends with a
-/// true FMA (`S::HAS_FMA`), where hardware FMA and `f32::mul_add` are both
-/// correctly rounded and therefore bitwise identical.
+/// The microkernel: `R` rows × `NR` columns over all of `k`,
+/// `acc[r][c] = Σ_k a[skip + r][k] · b[k][c]` in ascending `k` with the
+/// accumulators register-resident across every `tile_k` block. `R` is the
+/// row count fixed at compile time, so every row loop unrolls; `R = 0` is
+/// the one instance whose row count is the runtime value `rows` — the
+/// predicated copy of paper §4.5.
+///
+/// `S::LANES` of the `NR` accumulator columns share a vector register;
+/// lanes never cross `k`, so each element keeps one accumulator chain.
+/// Server (`EDGE = false`) multiplies then adds, never FMA; Edge is a
+/// `mul_add` chain and is only instantiated for `S::HAS_FMA` backends,
+/// where hardware FMA and `f32::mul_add` are both correctly rounded.
+///
+/// # Safety
+/// `S`'s instruction set must be available on the executing CPU (call it
+/// from the matching `#[target_feature]` wrapper). The row window is
+/// checked here.
 #[inline(always)]
 #[allow(clippy::needless_range_loop)]
-unsafe fn micro_edge_v<S: SimdF32>(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-    debug_assert!(S::HAS_FMA);
-    let nch = NR / S::LANES;
-    let mut vacc = [[S::zero(); NR]; MR];
-    for r in 0..MR {
-        for c in 0..nch {
-            vacc[r][c] = S::load(&acc[r][c * S::LANES..]);
-        }
-    }
-    // SAFETY: same layout contract as `micro_server_v`.
-    for kk in 0..kc {
-        let bbase = bp.as_ptr().add(kk * NR);
-        let abase = ap.as_ptr().add(kk * MR);
-        let mut vb = [S::zero(); NR];
-        for c in 0..nch {
-            vb[c] = S::load(core::slice::from_raw_parts(
-                bbase.add(c * S::LANES),
-                S::LANES,
-            ));
-        }
-        for r in 0..MR {
-            let a = S::splat(*abase.add(r));
-            for c in 0..nch {
-                vacc[r][c] = a.mul_add(vb[c], vacc[r][c]);
-            }
-        }
-    }
-    for r in 0..MR {
-        for c in 0..nch {
-            vacc[r][c].store(&mut acc[r][c * S::LANES..]);
-        }
-    }
-}
-
-/// Per-`tile_k`-block microkernel signature: `(ap, bp, kc, acc)`.
-type MicroFn = unsafe fn(&[f32], &[f32], usize, &mut [[f32; NR]; MR]);
-
-/// Cols-driver per-(row, panel) kernel signature: `(arow, pb, jp_idx, acc)`.
-type ColsFn = unsafe fn(&[f32], &PackedB, usize, &mut [f32; NR]);
-
-// Scalar cols kernels (extracted verbatim from the original driver loops).
-unsafe fn cols_server_scalar(arow: &[f32], pb: &PackedB, jp_idx: usize, acc: &mut [f32; NR]) {
-    // NR independent acc += a*b lanes per k step, matching micro_server's
-    // reduction order.
-    for block in 0..pb.k_blocks() {
-        let k0 = pb.block_k0(block);
-        let bp = pb.panel(block, jp_idx);
-        for (kk, bvals) in bp.chunks_exact(NR).enumerate() {
-            let av = arow[k0 + kk];
-            for c in 0..NR {
-                acc[c] += av * bvals[c];
-            }
-        }
-    }
-}
-
-unsafe fn cols_edge_scalar(arow: &[f32], pb: &PackedB, jp_idx: usize, acc: &mut [f32; NR]) {
-    // Per-element in-order mul_add chain, matching micro_edge's reduction
-    // order.
-    for (c, slot) in acc.iter_mut().enumerate() {
-        let mut s = *slot;
-        for block in 0..pb.k_blocks() {
-            let k0 = pb.block_k0(block);
-            let bp = pb.panel(block, jp_idx);
-            for (kk, av) in arow[k0..k0 + pb.block_kc(block)].iter().enumerate() {
-                s = av.mul_add(bp[kk * NR + c], s);
-            }
-        }
-        *slot = s;
-    }
-}
-
-/// Width-generic cols-driver Server kernel: same lane order as
-/// [`cols_server_scalar`] (mul-then-add, ascending `k`), vectorized across
-/// the `NR` panel columns — bitwise identical on every backend.
-#[inline(always)]
-#[allow(clippy::needless_range_loop)]
-unsafe fn cols_server_v<S: SimdF32>(
-    arow: &[f32],
+unsafe fn micro<S: SimdF32, const EDGE: bool, const R: usize>(
+    rows: usize,
+    skip: usize,
+    a: ATile<'_>,
     pb: &PackedB,
     jp_idx: usize,
-    acc: &mut [f32; NR],
+    acc: &mut [[f32; NR]],
 ) {
+    debug_assert!(!EDGE || S::HAS_FMA);
+    let rows = if R == 0 { rows } else { R };
+    // A full block is only ever `MR` rows of an `MR`-wide panel; saying so
+    // makes its A stride a constant.
+    assert!(skip + rows <= a.rows && (R != MR || a.rows == MR));
+    let lda = if R == MR { MR } else { a.rows };
     let nch = NR / S::LANES;
-    let mut vacc = [S::zero(); NR];
-    for c in 0..nch {
-        vacc[c] = S::load(&acc[c * S::LANES..]);
-    }
+    let mut vacc = [[S::zero(); NR]; MR];
     for block in 0..pb.k_blocks() {
-        let k0 = pb.block_k0(block);
-        let bp = pb.panel(block, jp_idx);
-        // SAFETY: `arow` spans the full `k` range of the packed layout.
-        for (kk, bvals) in bp.chunks_exact(NR).enumerate() {
-            let av = S::splat(*arow.get_unchecked(k0 + kk));
+        let kc = pb.block_kc(block);
+        let ap = a.block(block, kc).as_ptr().add(skip);
+        let bp = pb.panel(block, jp_idx).as_ptr();
+        // SAFETY: `a.block` is `[kc][a.rows]` (a checked slice) and the
+        // assert above keeps `skip + rows <= a.rows` with `lda == a.rows`;
+        // `PackedB::panel` is `[kc][NR]`. Unchecked access keeps bounds
+        // checks out of the innermost loop.
+        for kk in 0..kc {
+            let bbase = bp.add(kk * NR);
+            let abase = ap.add(kk * lda);
+            let mut vb = [S::zero(); NR];
             for c in 0..nch {
-                vacc[c] = vacc[c].add(av.mul(S::load(&bvals[c * S::LANES..])));
+                vb[c] = S::load(core::slice::from_raw_parts(
+                    bbase.add(c * S::LANES),
+                    S::LANES,
+                ));
+            }
+            for r in 0..rows {
+                let av = S::splat(*abase.add(r));
+                for c in 0..nch {
+                    vacc[r][c] = if EDGE {
+                        av.mul_add(vb[c], vacc[r][c])
+                    } else {
+                        vacc[r][c].add(av.mul(vb[c]))
+                    };
+                }
             }
         }
     }
-    for c in 0..nch {
-        vacc[c].store(&mut acc[c * S::LANES..]);
+    for r in 0..rows {
+        for c in 0..nch {
+            vacc[r][c].store(&mut acc[r][c * S::LANES..]);
+        }
     }
 }
 
-/// Width-generic cols-driver Edge kernel: [`cols_edge_scalar`]'s fused
-/// `mul_add` chain per element; FMA backends only (see [`select_micro`]).
+/// One register tile — the residue dispatch function. The largest
+/// `R <= a.rows` in `instances` (bit `R` set) runs its const instance;
+/// whatever rows remain run the runtime-row instance.
+///
+/// # Safety
+/// As for [`micro`]: `S`'s instruction set must be available.
 #[inline(always)]
-#[allow(clippy::needless_range_loop)]
-unsafe fn cols_edge_v<S: SimdF32>(arow: &[f32], pb: &PackedB, jp_idx: usize, acc: &mut [f32; NR]) {
-    debug_assert!(S::HAS_FMA);
-    let nch = NR / S::LANES;
-    let mut vacc = [S::zero(); NR];
-    for c in 0..nch {
-        vacc[c] = S::load(&acc[c * S::LANES..]);
+unsafe fn tile<S: SimdF32, const EDGE: bool>(
+    instances: u16,
+    a: ATile<'_>,
+    pb: &PackedB,
+    jp_idx: usize,
+    acc: &mut [[f32; NR]; MR],
+) {
+    let rows = a.rows;
+    debug_assert!((1..=MR).contains(&rows));
+    let fits = instances & ALL_ROWS & ((2 << rows) - 1);
+    let fixed = (u16::BITS - fits.leading_zeros()).saturating_sub(1) as usize;
+    match fixed {
+        0 => {}
+        1 => micro::<S, EDGE, 1>(1, 0, a, pb, jp_idx, acc),
+        2 => micro::<S, EDGE, 2>(2, 0, a, pb, jp_idx, acc),
+        3 => micro::<S, EDGE, 3>(3, 0, a, pb, jp_idx, acc),
+        4 => micro::<S, EDGE, 4>(4, 0, a, pb, jp_idx, acc),
+        5 => micro::<S, EDGE, 5>(5, 0, a, pb, jp_idx, acc),
+        6 => micro::<S, EDGE, 6>(6, 0, a, pb, jp_idx, acc),
+        7 => micro::<S, EDGE, 7>(7, 0, a, pb, jp_idx, acc),
+        _ => micro::<S, EDGE, MR>(MR, 0, a, pb, jp_idx, acc),
     }
-    for block in 0..pb.k_blocks() {
-        let k0 = pb.block_k0(block);
-        let bp = pb.panel(block, jp_idx);
-        // SAFETY: `arow` spans the full `k` range of the packed layout.
-        for (kk, bvals) in bp.chunks_exact(NR).enumerate() {
-            let av = S::splat(*arow.get_unchecked(k0 + kk));
-            for c in 0..nch {
-                vacc[c] = av.mul_add(S::load(&bvals[c * S::LANES..]), vacc[c]);
-            }
-        }
-    }
-    for c in 0..nch {
-        vacc[c].store(&mut acc[c * S::LANES..]);
-    }
-}
-
-/// Pick the cols-driver kernel for an (ISA, profile) pair; same FMA gating
-/// as [`select_micro`].
-fn select_cols(isa: Isa, edge: bool) -> ColsFn {
-    match (isa, edge) {
-        #[cfg(target_arch = "x86_64")]
-        (Isa::Sse2, false) => micro_x86::cols_server_sse2,
-        #[cfg(target_arch = "x86_64")]
-        (Isa::Avx2, false) => micro_x86::cols_server_avx2,
-        #[cfg(target_arch = "x86_64")]
-        (Isa::Avx2, true) => micro_x86::cols_edge_avx2,
-        #[cfg(target_arch = "aarch64")]
-        (Isa::Neon, false) => micro_neon::cols_server_neon,
-        #[cfg(target_arch = "aarch64")]
-        (Isa::Neon, true) => micro_neon::cols_edge_neon,
-        (_, false) => cols_server_scalar,
-        (_, true) => cols_edge_scalar,
+    if fixed < rows {
+        micro::<S, EDGE, 0>(rows - fixed, fixed, a, pb, jp_idx, &mut acc[fixed..]);
     }
 }
 
-// Scalar micros behind the shared signature (trivially safe bodies).
-unsafe fn micro_server_scalar(ap: &[f32], bp: &[f32], _kc: usize, acc: &mut [[f32; NR]; MR]) {
-    micro_server(ap, bp, acc)
-}
-unsafe fn micro_edge_scalar(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-    micro_edge(ap, bp, kc, acc)
-}
+/// Per-tile signature: `(instances, a, pb, jp_idx, acc)`.
+type TileFn = unsafe fn(u16, ATile<'_>, &PackedB, usize, &mut [[f32; NR]; MR]);
 
 #[cfg(target_arch = "x86_64")]
 mod micro_x86 {
@@ -673,28 +578,24 @@ mod micro_x86 {
     use nimble_simd::x86::{F32x4, F32x8};
 
     #[target_feature(enable = "sse2")]
-    pub unsafe fn server_sse2(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-        micro_server_v::<F32x4>(ap, bp, kc, acc)
+    pub(super) unsafe fn tile_sse2(
+        instances: u16,
+        a: ATile<'_>,
+        pb: &PackedB,
+        jp_idx: usize,
+        acc: &mut [[f32; NR]; MR],
+    ) {
+        tile::<F32x4, false>(instances, a, pb, jp_idx, acc)
     }
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn server_avx2(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-        micro_server_v::<F32x8>(ap, bp, kc, acc)
-    }
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn edge_avx2(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-        micro_edge_v::<F32x8>(ap, bp, kc, acc)
-    }
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn cols_server_sse2(arow: &[f32], pb: &PackedB, jp: usize, acc: &mut [f32; NR]) {
-        cols_server_v::<F32x4>(arow, pb, jp, acc)
-    }
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn cols_server_avx2(arow: &[f32], pb: &PackedB, jp: usize, acc: &mut [f32; NR]) {
-        cols_server_v::<F32x8>(arow, pb, jp, acc)
-    }
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn cols_edge_avx2(arow: &[f32], pb: &PackedB, jp: usize, acc: &mut [f32; NR]) {
-        cols_edge_v::<F32x8>(arow, pb, jp, acc)
+    pub(super) unsafe fn tile_avx2<const EDGE: bool>(
+        instances: u16,
+        a: ATile<'_>,
+        pb: &PackedB,
+        jp_idx: usize,
+        acc: &mut [[f32; NR]; MR],
+    ) {
+        tile::<F32x8, EDGE>(instances, a, pb, jp_idx, acc)
     }
 }
 
@@ -703,37 +604,34 @@ mod micro_neon {
     use super::*;
     use nimble_simd::neon::F32x4n;
 
-    pub unsafe fn server_neon(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-        micro_server_v::<F32x4n>(ap, bp, kc, acc)
-    }
-    pub unsafe fn edge_neon(ap: &[f32], bp: &[f32], kc: usize, acc: &mut [[f32; NR]; MR]) {
-        micro_edge_v::<F32x4n>(ap, bp, kc, acc)
-    }
-    pub unsafe fn cols_server_neon(arow: &[f32], pb: &PackedB, jp: usize, acc: &mut [f32; NR]) {
-        cols_server_v::<F32x4n>(arow, pb, jp, acc)
-    }
-    pub unsafe fn cols_edge_neon(arow: &[f32], pb: &PackedB, jp: usize, acc: &mut [f32; NR]) {
-        cols_edge_v::<F32x4n>(arow, pb, jp, acc)
+    pub(super) unsafe fn tile_neon<const EDGE: bool>(
+        instances: u16,
+        a: ATile<'_>,
+        pb: &PackedB,
+        jp_idx: usize,
+        acc: &mut [[f32; NR]; MR],
+    ) {
+        tile::<F32x4n, EDGE>(instances, a, pb, jp_idx, acc)
     }
 }
 
-/// Pick the block microkernel for an (ISA, profile) pair. The Edge profile
+/// Pick the tile function for an (ISA, profile) pair. The Edge profile
 /// needs a true fused multiply-add to match `f32::mul_add` bitwise, so
-/// SSE2 (no FMA) falls back to the scalar Edge chain.
-fn select_micro(isa: Isa, edge: bool) -> MicroFn {
+/// SSE2 (no FMA) takes the scalar Edge chain.
+fn select_tile(isa: Isa, edge: bool) -> TileFn {
     match (isa, edge) {
         #[cfg(target_arch = "x86_64")]
-        (Isa::Sse2, false) => micro_x86::server_sse2,
+        (Isa::Sse2, false) => micro_x86::tile_sse2,
         #[cfg(target_arch = "x86_64")]
-        (Isa::Avx2, false) => micro_x86::server_avx2,
+        (Isa::Avx2, false) => micro_x86::tile_avx2::<false>,
         #[cfg(target_arch = "x86_64")]
-        (Isa::Avx2, true) => micro_x86::edge_avx2,
+        (Isa::Avx2, true) => micro_x86::tile_avx2::<true>,
         #[cfg(target_arch = "aarch64")]
-        (Isa::Neon, false) => micro_neon::server_neon,
+        (Isa::Neon, false) => micro_neon::tile_neon::<false>,
         #[cfg(target_arch = "aarch64")]
-        (Isa::Neon, true) => micro_neon::edge_neon,
-        (_, false) => micro_server_scalar,
-        (_, true) => micro_edge_scalar,
+        (Isa::Neon, true) => micro_neon::tile_neon::<true>,
+        (_, false) => tile::<ScalarF32, false>,
+        (_, true) => tile::<ScalarF32, true>,
     }
 }
 
@@ -801,6 +699,28 @@ pub fn gemm_packed_with_isa(
     sched: super::matmul::MatmulSchedule,
     ep: &Epilogue,
 ) {
+    gemm_packed_dispatch(isa, ALL_ROWS, profile, a, pb, m, out, sched, ep)
+}
+
+/// [`gemm_packed_with_isa`] with the residue dispatch restricted to the
+/// const-row microkernel instances in `instances` (bit `R` set = the
+/// `R`-row instance exists; [`ALL_ROWS`] is every one). Each register
+/// tile of `rows` rows runs the largest instance `R <= rows`, and the
+/// runtime-row instance takes the remaining `rows - R` rows — so `0` sends
+/// every block, full ones included, through the runtime-row instance.
+/// The instance set never changes a bit of output.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_packed_dispatch(
+    isa: Isa,
+    instances: u16,
+    profile: ExecProfile,
+    a: &[f32],
+    pb: &PackedB,
+    m: usize,
+    out: &mut [f32],
+    sched: super::matmul::MatmulSchedule,
+    ep: &Epilogue,
+) {
     let isa = sanitize_isa(isa);
     let (n, k) = (pb.n(), pb.k());
     debug_assert_eq!(a.len(), m * k);
@@ -815,8 +735,7 @@ pub fn gemm_packed_with_isa(
     }
     let tile_m = sched.tile_m.max(1).div_ceil(MR) * MR;
     let tile_k = pb.tile_k();
-    let edge = matches!(profile, ExecProfile::Edge);
-    let micro = select_micro(isa, edge);
+    let tile_fn = select_tile(isa, matches!(profile, ExecProfile::Edge));
     let _s = nimble_obs::span_full("gemm.compute", nimble_obs::Category::Pool, (m * n) as u64);
     let pack = |row0: usize, rows: usize, apack: &mut Vec<f32>| {
         let _p = nimble_obs::span_detail("gemm.pack_a", nimble_obs::Category::Pool, row0 as u64);
@@ -831,33 +750,34 @@ pub fn gemm_packed_with_isa(
             blk.rows().start as u64,
         );
         let rows = blk.rows();
-        let a_block_stride = pack_rows.div_ceil(MR) * MR * tile_k;
-        let ip0 = (rows.start - pack_row0) / MR;
         for jp_idx in blk.panels() {
             let j0 = jp_idx * NR;
             let cols = NR.min(n - j0);
-            for (ip_idx, r0) in (ip0..).zip(rows.clone().step_by(MR)) {
-                let rcount = MR.min(rows.end - r0);
-                let mut acc = [[0.0f32; NR]; MR];
+            for r0 in rows.clone().step_by(MR) {
+                let a = ATile {
+                    pack: apack,
+                    block_stride: pack_rows * tile_k,
+                    row0: r0 - pack_row0,
+                    rows: MR.min(rows.end - r0),
+                };
                 // The block loop lives *inside* the tile: acc stays
                 // register-resident across all of k, making results
                 // bitwise-independent of the schedule.
-                for block in 0..pb.k_blocks() {
-                    let kc = pb.block_kc(block);
-                    let ap = &apack[block * a_block_stride + ip_idx * MR * kc..][..MR * kc];
-                    let bp = pb.panel(block, jp_idx);
-                    // SAFETY: `micro` was selected for an ISA that
-                    // `sanitize_isa` verified is available.
-                    unsafe { micro(ap, bp, kc, &mut acc) };
-                }
-                for (r, acc_row) in acc.iter().enumerate().take(rcount) {
+                let mut acc = [[0.0f32; NR]; MR];
+                // SAFETY: `tile_fn` was selected for an ISA that
+                // `sanitize_isa` verified is available.
+                unsafe { tile_fn(instances, a, pb, jp_idx, &mut acc) };
+                for (r, acc_row) in acc.iter().enumerate().take(a.rows) {
                     store_row(isa, blk, r0 + r, j0, &acc_row[..cols], ep);
                 }
             }
         }
     };
     let split = PanelSplit::plan(profile, m, pb, tile_m, sched.tile_n);
-    if split.shares_rows() {
+    if m == 1 {
+        // One row packs to itself: block `b` of the strip is `a[b * tile_k..]`.
+        split.run(out, |blk| compute(a, 0, 1, blk));
+    } else if split.shares_rows() {
         with_a_pack(|apack| {
             pack(0, m, apack);
             let apack = &apack[..];
@@ -872,86 +792,6 @@ pub fn gemm_packed_with_isa(
             })
         });
     }
-}
-
-/// Short-`m` driver: padding-free rows.
-///
-/// [`gemm_packed`] always computes full `MR x NR` register tiles, so an
-/// `m = 1` dispatch (a single request through a row-dynamic model) spends
-/// `MR - 1` of every `MR` accumulator lanes on zero-padding rows. This
-/// driver computes exactly `m` rows — A is read in place, never packed or
-/// padded — one row × panel at a time. It takes the same [`PanelSplit`]
-/// with a single all-rows strip, i.e. always the column cut.
-///
-/// Each output element is still reduced in strictly increasing `k`
-/// order with a single accumulator per element (the Server loop mirrors
-/// `micro_server`'s lane order, the Edge loop `micro_edge`'s `mul_add`
-/// chain), so outputs are bitwise identical to [`gemm_packed`] under
-/// any schedule. The shape specializer exploits exactly this: it races
-/// the two drivers on the observed shape and installs the faster one
-/// behind its bitwise install gate.
-pub fn gemm_packed_cols(
-    profile: ExecProfile,
-    a: &[f32],
-    pb: &PackedB,
-    m: usize,
-    out: &mut [f32],
-    sched: super::matmul::MatmulSchedule,
-    ep: &Epilogue,
-) {
-    gemm_packed_cols_with_isa(nimble_simd::active(), profile, a, pb, m, out, sched, ep)
-}
-
-/// [`gemm_packed_cols`] pinned to an explicit ISA; see
-/// [`gemm_packed_with_isa`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_packed_cols_with_isa(
-    isa: Isa,
-    profile: ExecProfile,
-    a: &[f32],
-    pb: &PackedB,
-    m: usize,
-    out: &mut [f32],
-    sched: super::matmul::MatmulSchedule,
-    ep: &Epilogue,
-) {
-    let isa = sanitize_isa(isa);
-    let (n, k) = (pb.n(), pb.k());
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(out.len(), m * n);
-    assert_eq!(
-        sched.tile_k.max(1),
-        pb.tile_k(),
-        "gemm_packed_cols: schedule tile_k must match the packed layout"
-    );
-    if m == 0 || n == 0 {
-        return;
-    }
-    let edge = matches!(profile, ExecProfile::Edge);
-    let cols_fn = select_cols(isa, edge);
-    let _s = nimble_obs::span_full("gemm.compute", nimble_obs::Category::Pool, (m * n) as u64);
-
-    // All `m` rows per task (A is read in place), columns always cut.
-    let split = PanelSplit::plan(profile, m, pb, m, sched.tile_n);
-    split.run(out, |blk| {
-        let _mk = nimble_obs::span_detail(
-            "gemm.microkernel",
-            nimble_obs::Category::Pool,
-            blk.panels().start as u64,
-        );
-        for jp_idx in blk.panels() {
-            let j0 = jp_idx * NR;
-            let cols = NR.min(n - j0);
-            for i in blk.rows() {
-                let arow = &a[i * k..(i + 1) * k];
-                let mut acc = [0.0f32; NR];
-                // SAFETY: `cols_fn` was selected for an ISA that
-                // `sanitize_isa` verified is available.
-                unsafe { cols_fn(arow, pb, jp_idx, &mut acc) };
-                store_row(isa, blk, i, j0, &acc[..cols], ep);
-            }
-        }
-    });
 }
 
 #[cfg(test)]
@@ -979,7 +819,8 @@ mod tests {
 
     #[test]
     fn packed_matches_naive_ragged() {
-        for &(m, n, k) in &[(1, 1, 1), (3, 5, 7), (13, 9, 21), (8, 8, 8), (17, 33, 65)] {
+        let residues = (1..=9).map(|m| (m, 9, 21));
+        for (m, n, k) in residues.chain([(1, 1, 1), (13, 9, 21), (17, 33, 65)]) {
             let a = seq(m * k, 0.25);
             let bt = seq(n * k, 0.5);
             let want = naive_bt(&a, &bt, m, n, k);
@@ -1008,39 +849,42 @@ mod tests {
     }
 
     #[test]
-    fn cols_driver_bitwise_matches_rows_driver() {
-        for &(m, n, k) in &[
-            (1, 1, 1),
-            (1, 513, 512),
-            (3, 65, 7),
-            (16, 512, 129),
-            (24, 8, 8),
-        ] {
+    fn row_instance_sets_bitwise_identical() {
+        // Every residue m mod 8, a full block, and blocks plus a tail.
+        let shapes = (1..=9)
+            .map(|m| (m, 65, 7))
+            .chain([(1, 513, 512), (26, 8, 129)]);
+        // All instances, the even ones, the quads, each alone, none.
+        let sets = [ALL_ROWS, 0b1_0101_0100, 0b1_0001_0000, 0b10, 0b1000_0000, 0];
+        for (m, n, k) in shapes {
             let a = seq(m * k, 0.25);
             let bt = seq(n * k, 0.5);
             let bias = seq(n, 0.1);
             for &tk in &[1usize, 64, 256] {
                 let pb = PackedB::pack_bt(&bt, n, k, tk);
                 let sched = MatmulSchedule {
-                    tile_m: 32,
+                    tile_m: 16,
                     tile_n: 64,
                     tile_k: tk,
                 };
+                let ep = Epilogue {
+                    bias: Some(&bias),
+                    unary: &[UnaryOp::Relu],
+                };
                 for profile in [ExecProfile::Server, ExecProfile::Edge] {
-                    let ep = Epilogue {
-                        bias: Some(&bias),
-                        unary: &[UnaryOp::Relu],
-                    };
-                    let mut rows = vec![0.0f32; m * n];
-                    gemm_packed(profile, &a, &pb, m, &mut rows, sched, &ep);
-                    let mut cols = vec![0.0f32; m * n];
-                    gemm_packed_cols(profile, &a, &pb, m, &mut cols, sched, &ep);
-                    for (i, (r, c)) in rows.iter().zip(&cols).enumerate() {
-                        assert_eq!(
-                            r.to_bits(),
-                            c.to_bits(),
-                            "m={m} n={n} k={k} tk={tk} {profile:?} elem {i}: {r} vs {c}"
-                        );
+                    let mut want = vec![0.0f32; m * n];
+                    gemm_packed(profile, &a, &pb, m, &mut want, sched, &ep);
+                    for set in sets {
+                        let mut got = vec![f32::NAN; m * n];
+                        let isa = nimble_simd::active();
+                        gemm_packed_dispatch(isa, set, profile, &a, &pb, m, &mut got, sched, &ep);
+                        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+                            assert_eq!(
+                                w.to_bits(),
+                                g.to_bits(),
+                                "m={m} n={n} k={k} tk={tk} {profile:?} set {set:#b} elem {i}"
+                            );
+                        }
                     }
                 }
             }

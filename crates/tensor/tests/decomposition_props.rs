@@ -1,20 +1,22 @@
-//! The work decomposition never moves a bit.
+//! The work decomposition and the residue dispatch never move a bit.
 //!
-//! Every dense driver — `gemm_packed`, `gemm_packed_cols`, and the symbolic
-//! dense of `nimble-codegen` at all five dispatch levels — cuts its output
-//! with the one shared `PanelSplit`. Each output element keeps a single
-//! accumulator and ascending-`k` order whatever the cut, so a run cut for
-//! many participants must equal the one-participant run byte for byte, on
-//! ragged shapes, with a bias and a unary epilogue, under every ISA the
-//! host has. `with_forced_participants` makes both cuts reachable on any
-//! box (and below the pool's work threshold).
+//! There is one dense driver, `gemm_packed`; the symbolic dense of
+//! `nimble-codegen` enters it with a `DispatchLevel`'s set of const-row
+//! microkernel instances. Every output element keeps a single accumulator
+//! and ascending-`k` order whatever the cut and whichever instance computes
+//! its row, so: every dispatch level must equal `gemm_packed` byte for
+//! byte under every ISA and profile, and a run cut for many participants
+//! must equal the one-participant run — on ragged shapes, with a bias and
+//! a unary epilogue, under every ISA the host has.
+//! `with_forced_participants` makes both cuts reachable on any box (and
+//! below the pool's work threshold).
 
 use nimble_codegen::symbolic::{dense_symbolic_packed, DispatchLevel};
 use nimble_tensor::kernels::gemm::{
-    gemm_packed_cols_with_isa, gemm_packed_with_isa, Epilogue, PackedB, PanelSplit, UnaryOp,
+    gemm_packed_dispatch, gemm_packed_with_isa, Epilogue, PackedB, PanelSplit, UnaryOp,
 };
 use nimble_tensor::kernels::MatmulSchedule;
-use nimble_tensor::pool::with_forced_participants;
+use nimble_tensor::pool::{default_profile, with_forced_participants};
 use nimble_tensor::ExecProfile;
 use proptest::prelude::*;
 
@@ -41,8 +43,9 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Every driver's output for one shape, in a fixed order, under whatever
-/// participant count the caller forced.
+/// `gemm_packed`'s output for one shape under every ISA × profile, in a
+/// fixed order, under whatever participant count the caller forced.
+/// Asserts on the way that every dispatch level reproduces it exactly.
 fn run_all(a: &[f32], pb: &PackedB, m: usize, bias: &[f32]) -> Vec<(String, Vec<u32>)> {
     let sched = MatmulSchedule {
         tile_k: pb.tile_k(),
@@ -52,25 +55,62 @@ fn run_all(a: &[f32], pb: &PackedB, m: usize, bias: &[f32]) -> Vec<(String, Vec<
         bias: Some(bias),
         unary: &[UnaryOp::Tanh],
     };
+    let run = |out: &mut Vec<f32>, f: &dyn Fn(&mut [f32])| {
+        *out = vec![f32::NAN; m * pb.n()];
+        f(out);
+        bits(out)
+    };
+    let mut out = Vec::new();
     let mut outs = Vec::new();
     for isa in nimble_simd::available() {
         for profile in [ExecProfile::Server, ExecProfile::Edge] {
-            let mut out = vec![f32::NAN; m * pb.n()];
-            gemm_packed_with_isa(isa, profile, a, pb, m, &mut out, sched, &ep);
-            outs.push((format!("gemm_packed {isa:?} {profile:?}"), bits(&out)));
-            let mut out = vec![f32::NAN; m * pb.n()];
-            gemm_packed_cols_with_isa(isa, profile, a, pb, m, &mut out, sched, &ep);
-            outs.push((format!("gemm_packed_cols {isa:?} {profile:?}"), bits(&out)));
+            let name = format!("gemm_packed {isa:?} {profile:?}");
+            let want = run(&mut out, &|o| {
+                gemm_packed_with_isa(isa, profile, a, pb, m, o, sched, &ep)
+            });
+            for level in LEVELS {
+                let got = run(&mut out, &|o| {
+                    let set = level.row_instances();
+                    gemm_packed_dispatch(isa, set, profile, a, pb, m, o, sched, &ep)
+                });
+                assert!(want == got, "{name}: {level:?} differs at m={m}");
+            }
+            outs.push((name, want));
         }
     }
-    // The symbolic kernels are plain Rust (no ISA dispatch) and fuse the
-    // bias only.
+    // The symbolic entry point itself: active ISA, default profile, bias
+    // only.
+    let isa = nimble_simd::active();
+    let ep = Epilogue {
+        bias: Some(bias),
+        unary: &[],
+    };
+    let want = run(&mut out, &|o| {
+        gemm_packed_with_isa(isa, default_profile(), a, pb, m, o, sched, &ep)
+    });
     for level in LEVELS {
-        let mut out = vec![f32::NAN; m * pb.n()];
-        dense_symbolic_packed(a, pb, m, &mut out, level, Some(bias));
-        outs.push((format!("symbolic {level:?}"), bits(&out)));
+        let got = run(&mut out, &|o| {
+            dense_symbolic_packed(a, pb, m, o, level, Some(bias))
+        });
+        assert!(want == got, "symbolic {level:?} differs at m={m}");
     }
     outs
+}
+
+/// One shape cut for one participant and for `many`: same bits.
+fn serial_equals_split(m: usize, n: usize, k: usize, many: usize, seed: u64) {
+    let a = fill(m * k, seed);
+    let bt = fill(n * k, seed ^ 0x5eed);
+    let bias = fill(n, seed + 17);
+    let pb = PackedB::pack_bt(&bt, n, k, MatmulSchedule::default().tile_k);
+    let serial = with_forced_participants(1, || run_all(&a, &pb, m, &bias));
+    let split = with_forced_participants(many, || run_all(&a, &pb, m, &bias));
+    for ((name, want), (_, got)) in serial.iter().zip(&split) {
+        assert!(
+            want == got,
+            "{name}: {m}x{n}x{k} cut for {many} participants differs from serial"
+        );
+    }
 }
 
 proptest! {
@@ -84,18 +124,16 @@ proptest! {
         many in 2usize..=9,
         seed in 0u64..1000,
     ) {
-        let a = fill(m * k, seed);
-        let bt = fill(n * k, seed ^ 0x5eed);
-        let bias = fill(n, seed + 17);
-        let pb = PackedB::pack_bt(&bt, n, k, MatmulSchedule::default().tile_k);
-        let serial = with_forced_participants(1, || run_all(&a, &pb, m, &bias));
-        let split = with_forced_participants(many, || run_all(&a, &pb, m, &bias));
-        for ((name, want), (_, got)) in serial.iter().zip(&split) {
-            prop_assert!(
-                want == got,
-                "{name}: {m}x{n}x{k} cut for {many} participants differs from serial"
-            );
-        }
+        serial_equals_split(m, n, k, many, seed);
+    }
+}
+
+/// Every residue `m mod 8` by name: each level's tail split (const
+/// instance plus runtime-row rest) at each row count.
+#[test]
+fn every_residue_at_every_level() {
+    for m in 1..=9 {
+        serial_equals_split(m, 83, 70, 3, m as u64);
     }
 }
 

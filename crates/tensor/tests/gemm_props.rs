@@ -3,9 +3,7 @@
 //! every schedule, and both execution profiles — including the degenerate
 //! shapes (`1×1×1`, `k = 0`) where blocking logic is most likely to slip.
 
-use nimble_tensor::kernels::gemm::{
-    gemm_packed, gemm_packed_cols_with_isa, gemm_packed_with_isa, Epilogue, PackedB, UnaryOp,
-};
+use nimble_tensor::kernels::gemm::{gemm_packed, gemm_packed_with_isa, Epilogue, PackedB, UnaryOp};
 use nimble_tensor::kernels::MatmulSchedule;
 use nimble_tensor::ExecProfile;
 use proptest::prelude::*;
@@ -125,9 +123,9 @@ proptest! {
     }
 }
 
-/// Run both GEMM drivers under an explicit ISA and return the output bits.
+/// Run the GEMM driver under an explicit ISA and return the output bits.
 #[allow(clippy::too_many_arguments)]
-fn run_both_drivers(
+fn run_bits(
     isa: nimble_simd::Isa,
     profile: ExecProfile,
     a: &[f32],
@@ -136,15 +134,10 @@ fn run_both_drivers(
     n: usize,
     sched: MatmulSchedule,
     ep: &Epilogue,
-) -> (Vec<u32>, Vec<u32>) {
-    let mut rows = vec![f32::NAN; m * n];
-    gemm_packed_with_isa(isa, profile, a, pb, m, &mut rows, sched, ep);
-    let mut cols = vec![f32::NAN; m * n];
-    gemm_packed_cols_with_isa(isa, profile, a, pb, m, &mut cols, sched, ep);
-    (
-        rows.iter().map(|v| v.to_bits()).collect(),
-        cols.iter().map(|v| v.to_bits()).collect(),
-    )
+) -> Vec<u32> {
+    let mut out = vec![f32::NAN; m * n];
+    gemm_packed_with_isa(isa, profile, a, pb, m, &mut out, sched, ep);
+    out.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -153,9 +146,9 @@ proptest! {
     /// The SIMD backend never changes a bit: for every ragged shape,
     /// reduction blocking, and profile, every available backend (plus
     /// forced-scalar) produces outputs bitwise identical to the scalar
-    /// microkernel — in both the rows driver and the cols driver.
+    /// microkernel.
     #[test]
-    fn backends_bitwise_identical_both_drivers(
+    fn backends_bitwise_identical(
         m in 0usize..26,
         n in 1usize..35,
         k in 0usize..40,
@@ -174,16 +167,43 @@ proptest! {
             unary: &[UnaryOp::Relu],
         };
         let pb = PackedB::pack_bt(&bt, n, k, sched.tile_k);
-        let (base_rows, base_cols) =
-            run_both_drivers(nimble_simd::Isa::Scalar, profile, &a, &pb, m, n, sched, &ep);
-        // Rows and cols drivers agree with each other on the scalar path...
-        prop_assert_eq!(&base_rows, &base_cols);
-        // ...and every available vector backend reproduces those exact bits.
+        let base = run_bits(nimble_simd::Isa::Scalar, profile, &a, &pb, m, n, sched, &ep);
         for isa in nimble_simd::available() {
-            let (rows, cols) = run_both_drivers(isa, profile, &a, &pb, m, n, sched, &ep);
-            prop_assert_eq!(&rows, &base_rows, "rows driver diverged on {}", isa);
-            prop_assert_eq!(&cols, &base_cols, "cols driver diverged on {}", isa);
+            let got = run_bits(isa, profile, &a, &pb, m, n, sched, &ep);
+            prop_assert_eq!(&got, &base, "diverged on {}", isa);
         }
+    }
+}
+
+/// Every residue `m mod 8` (`m = 1..=9`), on every backend and profile, is
+/// bitwise equal to the scalar backend: each row count takes its own
+/// microkernel instance.
+#[test]
+fn every_residue_bitwise_on_every_backend() {
+    let (n, k) = (21, 37);
+    let sched = MatmulSchedule {
+        tile_m: 8,
+        tile_n: 16,
+        tile_k: 16,
+    };
+    let bt = fill(n * k, 3);
+    let bias = fill(n, 9);
+    let pb = PackedB::pack_bt(&bt, n, k, sched.tile_k);
+    let ep = Epilogue {
+        bias: Some(&bias),
+        unary: &[UnaryOp::Relu],
+    };
+    for m in 1..=9 {
+        let a = fill(m * k, m as u64);
+        for profile in [ExecProfile::Server, ExecProfile::Edge] {
+            let base = run_bits(nimble_simd::Isa::Scalar, profile, &a, &pb, m, n, sched, &ep);
+            for isa in nimble_simd::available() {
+                let got = run_bits(isa, profile, &a, &pb, m, n, sched, &ep);
+                assert_eq!(got, base, "m={m} {profile:?} {isa}");
+            }
+        }
+        check_profile(ExecProfile::Server, m, n, k, sched);
+        check_profile(ExecProfile::Edge, m, n, k, sched);
     }
 }
 
@@ -193,7 +213,8 @@ proptest! {
 #[test]
 fn masked_tail_shapes_bitwise_on_every_backend() {
     // (m, n, k): n % 4 != 0 and n % 8 != 0 exercise SSE2/NEON and AVX2
-    // tails; m < MR exercises row masking; k == 0 the epilogue-only path.
+    // tails; m < MR exercises the short row tiles; k == 0 the
+    // epilogue-only path.
     for &(m, n, k) in &[(1, 1, 3), (3, 5, 7), (7, 13, 9), (2, 9, 0), (5, 23, 1)] {
         let sched = MatmulSchedule {
             tile_m: 8,
@@ -210,38 +231,24 @@ fn masked_tail_shapes_bitwise_on_every_backend() {
                 unary: &[UnaryOp::Tanh],
             };
             let pb = PackedB::pack_bt(&bt, n, k, sched.tile_k);
-            let (base_rows, base_cols) =
-                run_both_drivers(nimble_simd::Isa::Scalar, profile, &a, &pb, m, n, sched, &ep);
+            let base = run_bits(nimble_simd::Isa::Scalar, profile, &a, &pb, m, n, sched, &ep);
             for isa in nimble_simd::available() {
-                let (rows, cols) = run_both_drivers(isa, profile, &a, &pb, m, n, sched, &ep);
+                let got = run_bits(isa, profile, &a, &pb, m, n, sched, &ep);
                 // The GEMM accumulation is bitwise-pinned across backends;
                 // the tanh epilogue rides the vecmath ULP contract, so
                 // compare under it rather than bitwise.
-                for (i, (&g, &w)) in rows.iter().zip(&base_rows).enumerate() {
+                for (i, (&g, &w)) in got.iter().zip(&base).enumerate() {
                     assert!(
                         nimble_simd::vecmath::within_contract(
                             UnaryOp::Tanh,
                             f32::from_bits(g),
                             f32::from_bits(w)
                         ),
-                        "{profile:?} {isa} rows {m}x{n}x{k} elem {i}"
+                        "{profile:?} {isa} {m}x{n}x{k} elem {i}"
                     );
                 }
-                for (i, (&g, &w)) in cols.iter().zip(&base_cols).enumerate() {
-                    assert!(
-                        nimble_simd::vecmath::within_contract(
-                            UnaryOp::Tanh,
-                            f32::from_bits(g),
-                            f32::from_bits(w)
-                        ),
-                        "{profile:?} {isa} cols {m}x{n}x{k} elem {i}"
-                    );
-                }
-                // And rows/cols must agree bitwise under the *same* backend.
-                let (rows2, cols2) = run_both_drivers(isa, profile, &a, &pb, m, n, sched, &ep);
-                assert_eq!(rows, rows2, "{profile:?} {isa} rows nondeterministic");
-                assert_eq!(cols, cols2, "{profile:?} {isa} cols nondeterministic");
-                assert_eq!(rows, cols, "{profile:?} {isa} rows/cols diverge");
+                let again = run_bits(isa, profile, &a, &pb, m, n, sched, &ep);
+                assert_eq!(got, again, "{profile:?} {isa} nondeterministic");
             }
         }
     }
