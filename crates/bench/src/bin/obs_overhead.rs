@@ -183,23 +183,28 @@ fn median(samples: &mut [f64]) -> f64 {
 /// stay put across one adjacent pair, and the median discards rounds a
 /// noise burst split down the middle. Best of 3 attempts; panics when the
 /// median delta never lands under 3%. `round` runs one throughput round
-/// under the currently set trace mode.
+/// under the currently set trace mode. Beside the share, each attempt
+/// prints the absolute cost from the same pairs — wall-clock ns per
+/// request, and per span when `spans_per_req` is known — so a request
+/// that got shorter does not read as tracing that got dearer.
 fn paired_gate(
     name: &str,
     rounds: usize,
     baseline: TraceMode,
     candidate: TraceMode,
+    spans_per_req: Option<f64>,
     mut round: impl FnMut() -> f64,
     mut settle: impl FnMut(),
 ) {
     let mut last_delta = 0.0;
     for attempt in 1..=3 {
         let mut deltas = Vec::new();
+        let mut costs_ns = Vec::new();
         for _ in 0..rounds {
             // A short unmeasured burst after each mode switch keeps
-            // switch-boundary cold costs (first-touch buffer allocation,
-            // branch predictors retraining on the new mode) out of the
-            // timed leg; they are per-switch artifacts, not steady state.
+            // switch-boundary cold costs (branch predictors retraining on
+            // the new mode) out of the timed leg; they are per-switch
+            // artifacts, not steady state.
             nimble_obs::set_mode(baseline);
             settle();
             let b = round();
@@ -207,10 +212,16 @@ fn paired_gate(
             settle();
             let c = round();
             deltas.push((b - c) / b);
+            costs_ns.push((1.0 / c - 1.0 / b) * 1e9);
         }
         last_delta = median(&mut deltas).abs();
+        let cost = median(&mut costs_ns);
+        let per_span = spans_per_req
+            .map(|s| format!(", {:+.0} ns/span at {s:.0} spans/request", cost / s))
+            .unwrap_or_default();
         println!(
-            "  gate {name} attempt {attempt}: median paired delta {:.2}% over {rounds} pairs",
+            "  gate {name} attempt {attempt}: median paired delta {:.2}% over {rounds} pairs \
+             ({cost:+.0} ns/request{per_span})",
             last_delta * 100.0
         );
         if last_delta < 0.03 {
@@ -249,6 +260,7 @@ fn main() {
         rounds,
         TraceMode::Off,
         TraceMode::Off,
+        None,
         || throughput(&bench, leg),
         || {
             throughput(&bench, 16);
@@ -261,14 +273,32 @@ fn main() {
     // terminal-accounting verdict discards them in steady state — that
     // round trip is what must stay under 3%.
     let serve = bert_serve(effort);
+    // Warm the serve stack in both modes before any timed round. The first
+    // tail-mode traffic pays once for what off mode never touches: each
+    // worker's and device lane's span staging batch and span-id block, the
+    // flight map's shard capacity, and the first sight of every shape
+    // (pinned, so retained). Paid inside a timed leg, that landed in
+    // attempt 1 alone.
+    for mode in [TraceMode::Off, TraceMode::Tail] {
+        nimble_obs::set_mode(mode);
+        serve_throughput(&serve, per_round);
+    }
+    // Spans per request, for the per-span price: `all` mode records the
+    // same spans into the countable thread rings.
+    nimble_obs::set_mode(TraceMode::All);
+    nimble_obs::reset();
+    let counted = 16;
+    serve_throughput(&serve, counted);
+    let spans_per_req =
+        (nimble_obs::recorded_spans() + nimble_obs::dropped_spans()) as f64 / counted as f64;
     nimble_obs::set_mode(TraceMode::Off);
-    serve_throughput(&serve, per_round); // warm the serve stack
     nimble_obs::reset();
     paired_gate(
         "C (tail vs off)",
         rounds,
         TraceMode::Off,
         TraceMode::Tail,
+        Some(spans_per_req),
         || serve_throughput(&serve, leg),
         || {
             serve_throughput(&serve, 16);

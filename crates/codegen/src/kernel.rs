@@ -9,17 +9,22 @@
 //!   dimension, the residue-dispatch kernel set of [`crate::symbolic`]
 //!   (Section 4.5);
 //! * **fused primitive kernels** — compiled from the fused function bodies
-//!   produced by the fusion pass; a fast path applies trailing unary
-//!   elementwise ops in place, in a single pass, so fusion eliminates both
+//!   produced by the fusion pass. Elementwise members run as one vector
+//!   loop over fixed strips of the output (in place behind an anchor such
+//!   as `dense` or `batch_matmul`), and a `dense` anchor with a unary tail
+//!   runs the tail inside the GEMM write-out, so fusion eliminates both
 //!   intermediate allocations *and* memory traffic.
 
 use crate::symbolic::{DispatchLevel, SymbolicDense};
 use nimble_ir::attrs::Attrs;
 use nimble_ir::expr::{Expr, ExprKind, Function};
 use nimble_ir::op;
-use nimble_tensor::Tensor;
+use nimble_simd::vecmath::unary_slice;
+use nimble_simd::Isa;
+use nimble_tensor::{DType, Tensor, UnaryOp};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Kernel execution failure.
@@ -201,94 +206,21 @@ impl Kernel {
 
     /// Compile a fused primitive function into a single kernel.
     ///
-    /// The body is compiled once into a positional step list — per-call
-    /// execution is a flat loop over function pointers with a `Vec` value
-    /// environment, no name lookups.
+    /// The body is compiled once into a positional step list. A `dense`
+    /// anchor followed only by unary members becomes the GEMM-epilogue
+    /// kernel. Otherwise the elementwise members run through the strip
+    /// evaluator ([`StripPlan`]): the whole group when every member is
+    /// elementwise, else the tail behind an anchor that runs once through
+    /// its registry kernel, evaluated in place over the anchor's output.
+    /// Operands the evaluator cannot align fall back to member-at-a-time
+    /// interpretation.
     ///
     /// # Errors
     /// Fails when the body is not a let-chain of operator calls over
     /// parameters, constants, and prior members.
     pub fn from_primitive(func: &Function) -> Result<Kernel, KernelError> {
-        // Try the fast path: anchor op followed by pure unary elementwise
-        // f32 ops on the running value.
-        if let Some(k) = compile_unary_chain(func)? {
+        if let Some(k) = compile_dense_epilogue(func) {
             return Ok(k);
-        }
-        // General path: precompile to positional steps.
-        #[derive(Clone)]
-        enum Src {
-            Param(usize),
-            Member(usize),
-            Const(Tensor),
-        }
-        /// Scalar operation codes for the single-pass fused-elementwise
-        /// evaluator.
-        #[derive(Clone, Copy)]
-        enum EwOp {
-            Add,
-            Sub,
-            Mul,
-            Div,
-            Maximum,
-            Minimum,
-            Tanh,
-            Sigmoid,
-            Relu,
-            Gelu,
-            Neg,
-            Sqrt,
-        }
-        impl EwOp {
-            fn of(name: &str) -> Option<(EwOp, usize)> {
-                Some(match name {
-                    "add" => (EwOp::Add, 2),
-                    "sub" => (EwOp::Sub, 2),
-                    "mul" => (EwOp::Mul, 2),
-                    "div" => (EwOp::Div, 2),
-                    "maximum" => (EwOp::Maximum, 2),
-                    "minimum" => (EwOp::Minimum, 2),
-                    "tanh" => (EwOp::Tanh, 1),
-                    "sigmoid" => (EwOp::Sigmoid, 1),
-                    "relu" => (EwOp::Relu, 1),
-                    "gelu" => (EwOp::Gelu, 1),
-                    "neg" => (EwOp::Neg, 1),
-                    "sqrt" => (EwOp::Sqrt, 1),
-                    _ => return None,
-                })
-            }
-            /// Per-element evaluation. Unary transcendentals go through
-            /// [`nimble_simd::vecmath::unary_scalar_lane`] so a value that
-            /// flows through this fused evaluator gets bit-identical
-            /// treatment to one flowing through the standalone elementwise
-            /// kernels under the same active SIMD backend — fusion
-            /// grouping never changes output bits.
-            #[inline]
-            fn apply(self, isa: nimble_simd::Isa, a: f32, b: f32) -> f32 {
-                use nimble_simd::vecmath::{unary_scalar_lane, UnaryOp};
-                match self {
-                    EwOp::Add => a + b,
-                    EwOp::Sub => a - b,
-                    EwOp::Mul => a * b,
-                    EwOp::Div => a / b,
-                    EwOp::Maximum => a.max(b),
-                    EwOp::Minimum => a.min(b),
-                    EwOp::Tanh => unary_scalar_lane(isa, UnaryOp::Tanh, a),
-                    EwOp::Sigmoid => unary_scalar_lane(isa, UnaryOp::Sigmoid, a),
-                    EwOp::Relu => unary_scalar_lane(isa, UnaryOp::Relu, a),
-                    EwOp::Gelu => unary_scalar_lane(isa, UnaryOp::Gelu, a),
-                    EwOp::Neg => -a,
-                    EwOp::Sqrt => a.sqrt(),
-                }
-            }
-        }
-        struct Step {
-            exec: nimble_ir::op::ExecFn,
-            attrs: Attrs,
-            args: Vec<Src>,
-            name: &'static str,
-            /// Set when the member is a pure elementwise op (enables the
-            /// single-pass evaluator when the whole group qualifies).
-            ew: Option<(EwOp, usize)>,
         }
         let mut pos_of_param: HashMap<u32, usize> = HashMap::new();
         for (i, p) in func.params.iter().enumerate() {
@@ -318,13 +250,20 @@ impl Kernel {
                             ))),
                         })
                         .collect::<Result<Vec<_>, _>>()?;
+                    let ew = EwOp::of(name).and_then(|(op, arity)| {
+                        let f32_consts = srcs.iter().all(|s| match s {
+                            Src::Const(t) => t.dtype() == DType::F32,
+                            _ => true,
+                        });
+                        (srcs.len() == arity && f32_consts).then_some(op)
+                    });
                     pos_of_member.insert(var.id, steps.len());
                     steps.push(Step {
                         exec: def.execute,
                         attrs: attrs.clone(),
                         args: srcs,
                         name: def.name,
-                        ew: EwOp::of(name),
+                        ew,
                     });
                     cur = body.clone();
                 }
@@ -351,10 +290,8 @@ impl Kernel {
             steps.iter().map(|s| s.name).collect::<Vec<_>>().join("+")
         );
         let num_params = func.params.len();
-        // The whole group is elementwise when every member is, and no
-        // member has more than two operands.
-        let all_elementwise =
-            steps.iter().all(|s| s.ew.is_some() && s.args.len() <= 2) && steps.len() <= 32;
+        let all_ew = steps.iter().all(|s| s.ew.is_some());
+        let tail_ew = steps.len() > 1 && steps[1..].iter().all(|s| s.ew.is_some());
         Ok(Kernel::new(&name, move |inputs| {
             if inputs.len() != num_params {
                 return Err(KernelError(format!(
@@ -362,115 +299,28 @@ impl Kernel {
                     inputs.len()
                 )));
             }
-            // Single-pass fused evaluation: legal when every non-scalar
-            // operand shares one shape (scalars broadcast). This is the
-            // loop fusion a compiled kernel performs — one sweep, zero
-            // intermediate buffers.
-            if all_elementwise {
-                let mut common: Option<&[usize]> = None;
-                let mut uniform = true;
-                'check: for step in &steps {
-                    for src in &step.args {
-                        let dims = match src {
-                            Src::Param(i) => match inputs[*i].as_f32() {
-                                Ok(_) => inputs[*i].dims(),
-                                Err(_) => {
-                                    uniform = false;
-                                    break 'check;
-                                }
-                            },
-                            Src::Const(t) => t.dims(),
-                            Src::Member(_) => continue,
-                        };
-                        let volume: usize = dims.iter().product();
-                        if volume == 1 {
-                            continue;
-                        }
-                        match common {
-                            None => common = Some(dims),
-                            Some(c) if c == dims => {}
-                            Some(_) => {
-                                uniform = false;
-                                break 'check;
-                            }
-                        }
-                    }
+            let isa = nimble_simd::active();
+            if all_ew {
+                if let Some(plan) = StripPlan::new(&steps, inputs, None) {
+                    let mut out = vec![0.0f32; plan.dims.iter().product()];
+                    plan.run(isa, &steps, &mut out);
+                    return Ok(vec![Tensor::from_vec_f32(out, &plan.dims)?]);
                 }
-                if uniform {
-                    let out_dims: Vec<usize> = common.map(|c| c.to_vec()).unwrap_or_default();
-                    let len: usize = out_dims.iter().product();
-                    let mut out = vec![0.0f32; len];
-                    // Resolve operand buffers once.
-                    enum Buf<'a> {
-                        Slice(&'a [f32]),
-                        Scalar(f32),
-                        Member(usize),
+            }
+            let mut anchor = steps[0].run(inputs, &[])?;
+            if tail_ew && anchor.dtype() == DType::F32 {
+                if let Some(plan) = StripPlan::new(&steps, inputs, Some(anchor.dims())) {
+                    plan.run(isa, &steps, anchor.as_f32_mut()?);
+                    if anchor.dims() != plan.dims.as_slice() {
+                        anchor = anchor.reshaped(&plan.dims)?;
                     }
-                    let mut bufs: Vec<[Option<Buf>; 2]> = Vec::with_capacity(steps.len());
-                    for step in &steps {
-                        let mut pair: [Option<Buf>; 2] = [None, None];
-                        for (slot, src) in step.args.iter().enumerate() {
-                            pair[slot] = Some(match src {
-                                Src::Param(i) => {
-                                    let v = inputs[*i].as_f32()?;
-                                    if v.len() == 1 {
-                                        Buf::Scalar(v[0])
-                                    } else {
-                                        Buf::Slice(v)
-                                    }
-                                }
-                                Src::Const(t) => {
-                                    let v = t.as_f32()?;
-                                    if v.len() == 1 {
-                                        Buf::Scalar(v[0])
-                                    } else {
-                                        Buf::Slice(v)
-                                    }
-                                }
-                                Src::Member(m) => Buf::Member(*m),
-                            });
-                        }
-                        bufs.push(pair);
-                    }
-                    let isa = nimble_simd::active();
-                    let mut vals = [0.0f32; 32];
-                    for (i, o) in out.iter_mut().enumerate() {
-                        for (si, step) in steps.iter().enumerate() {
-                            let (op, arity) = step.ew.expect("checked elementwise");
-                            let fetch = |b: &Option<Buf>| -> f32 {
-                                match b {
-                                    Some(Buf::Slice(s)) => s[i],
-                                    Some(Buf::Scalar(c)) => *c,
-                                    Some(Buf::Member(m)) => vals[*m],
-                                    None => 0.0,
-                                }
-                            };
-                            let a = fetch(&bufs[si][0]);
-                            let b = if arity == 2 { fetch(&bufs[si][1]) } else { 0.0 };
-                            vals[si] = op.apply(isa, a, b);
-                        }
-                        *o = vals[steps.len() - 1];
-                    }
-                    return Ok(vec![Tensor::from_vec_f32(out, &out_dims)?]);
+                    return Ok(vec![anchor]);
                 }
             }
             // Fallback: member-at-a-time interpretation.
-            let mut members: Vec<Tensor> = Vec::with_capacity(steps.len());
-            let mut scratch: Vec<Tensor> = Vec::new();
-            for step in &steps {
-                scratch.clear();
-                for src in &step.args {
-                    scratch.push(match src {
-                        Src::Param(i) => inputs[*i].clone(),
-                        Src::Member(i) => members[*i].clone(),
-                        Src::Const(t) => t.clone(),
-                    });
-                }
-                let outs = (step.exec)(&scratch, &step.attrs)?;
-                let out = outs
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| KernelError(format!("{} produced no output", step.name)))?;
+            let mut members = vec![anchor];
+            for step in &steps[1..] {
+                let out = step.run(inputs, &members)?;
                 members.push(out);
             }
             Ok(vec![members.pop().expect("at least one member")])
@@ -478,181 +328,347 @@ impl Kernel {
     }
 }
 
-/// Interpret a flat ANF body (op calls only) over a tensor environment.
-pub fn eval_flat_body(
-    body: &Expr,
-    env: &mut HashMap<u32, Tensor>,
-) -> Result<Vec<Tensor>, KernelError> {
-    let mut cur = body.clone();
-    loop {
-        match cur.kind() {
-            ExprKind::Let { var, value, body } => {
-                let (name, args, attrs) = value.as_op_call().ok_or_else(|| {
-                    KernelError("primitive body must contain only op calls".into())
-                })?;
-                let def = op::lookup(name)?;
-                let inputs: Vec<Tensor> = args
-                    .iter()
-                    .map(|a| match a.kind() {
-                        ExprKind::Var(v) => env
-                            .get(&v.id)
-                            .cloned()
-                            .ok_or_else(|| KernelError(format!("unbound {v} in primitive"))),
-                        ExprKind::Constant(t) => Ok(t.clone()),
-                        other => Err(KernelError(format!(
-                            "unsupported primitive argument {other:?}"
-                        ))),
-                    })
-                    .collect::<Result<_, _>>()?;
-                let outs = (def.execute)(&inputs, attrs)?;
-                // Multi-output members not supported inside primitives (the
-                // fusion pass never creates them).
-                let out = outs
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| KernelError(format!("{name} produced no output")))?;
-                env.insert(var.id, out);
-                cur = body.clone();
+/// Strip width of the fused elementwise evaluator, in floats.
+const STRIP: usize = 64;
+
+/// Where a fused member finds one operand.
+enum Src {
+    Param(usize),
+    Member(usize),
+    Const(Tensor),
+}
+
+/// One member of a fused primitive, compiled to a positional step.
+struct Step {
+    exec: nimble_ir::op::ExecFn,
+    attrs: Attrs,
+    args: Vec<Src>,
+    name: &'static str,
+    /// Set when the strip evaluator can run the member: an elementwise op
+    /// given exactly its operand count, with no non-f32 constant.
+    ew: Option<EwOp>,
+}
+
+impl Step {
+    /// Run the member through its registry kernel.
+    fn run(&self, inputs: &[Tensor], members: &[Tensor]) -> Result<Tensor, KernelError> {
+        let args: Vec<Tensor> = self
+            .args
+            .iter()
+            .map(|src| match src {
+                Src::Param(i) => inputs[*i].clone(),
+                Src::Member(i) => members[*i].clone(),
+                Src::Const(t) => t.clone(),
+            })
+            .collect();
+        (self.exec)(&args, &self.attrs)?
+            .into_iter()
+            .next()
+            .ok_or_else(|| KernelError(format!("{} produced no output", self.name)))
+    }
+}
+
+/// The elementwise ops the strip evaluator runs.
+#[derive(Clone, Copy)]
+enum EwOp {
+    /// `tanh`, `sigmoid`, `relu`, `gelu`, `neg`, `sqrt`.
+    Unary(UnaryOp),
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Maximum,
+    Minimum,
+}
+
+impl EwOp {
+    /// The op and its operand count for an IR op name.
+    fn of(name: &str) -> Option<(EwOp, usize)> {
+        Some(match name {
+            "add" => (EwOp::Add, 2),
+            "sub" => (EwOp::Sub, 2),
+            "mul" => (EwOp::Mul, 2),
+            "div" => (EwOp::Div, 2),
+            "maximum" => (EwOp::Maximum, 2),
+            "minimum" => (EwOp::Minimum, 2),
+            "tanh" | "sigmoid" | "relu" | "gelu" | "neg" | "sqrt" => {
+                (EwOp::Unary(UnaryOp::from_name(name)?), 1)
             }
-            ExprKind::Var(v) => {
-                return Ok(vec![env
-                    .get(&v.id)
-                    .cloned()
-                    .ok_or_else(|| KernelError(format!("unbound result {v}")))?]);
+            _ => return None,
+        })
+    }
+
+    /// `dst = op(a, b)` over one strip. Unary ops run the vecmath slice
+    /// kernel the standalone elementwise kernels run; binary ops are plain
+    /// loops over the registry's formulas, operand order kept. Either way
+    /// each element gets the bits the registry kernel would give it.
+    fn apply(self, isa: Isa, dst: &mut [f32], a: Lane<'_>, b: Lane<'_>) {
+        match a {
+            Lane::Slice(s) => dst.copy_from_slice(s),
+            Lane::Scalar(x) => dst.fill(x),
+        }
+        match self {
+            EwOp::Unary(op) => unary_slice(isa, op, dst),
+            EwOp::Add => combine(dst, b, |x, y| x + y),
+            EwOp::Sub => combine(dst, b, |x, y| x - y),
+            EwOp::Mul => combine(dst, b, |x, y| x * y),
+            EwOp::Div => combine(dst, b, |x, y| x / y),
+            EwOp::Maximum => combine(dst, b, f32::max),
+            EwOp::Minimum => combine(dst, b, f32::min),
+        }
+    }
+}
+
+/// `dst[i] = f(dst[i], b[i])`, monomorphized per op so the loop vectorizes.
+#[inline(always)]
+fn combine(dst: &mut [f32], b: Lane<'_>, f: impl Fn(f32, f32) -> f32) {
+    match b {
+        Lane::Slice(s) => dst.iter_mut().zip(s).for_each(|(d, &y)| *d = f(*d, y)),
+        Lane::Scalar(y) => dst.iter_mut().for_each(|d| *d = f(*d, y)),
+    }
+}
+
+/// One operand over one strip.
+#[derive(Clone, Copy)]
+enum Lane<'a> {
+    Slice(&'a [f32]),
+    Scalar(f32),
+}
+
+/// One operand of a strip-evaluated member, resolved for one call.
+#[derive(Clone, Copy)]
+enum Operand<'a> {
+    /// An aligned tensor: as many elements as the output, in its order.
+    Slice(&'a [f32]),
+    /// A one-element tensor, broadcast.
+    Scalar(f32),
+    /// An earlier member's strip buffer.
+    Member(usize),
+}
+
+impl<'a> Operand<'a> {
+    fn strip<'s>(self, done: &'s [f32], at: &Range<usize>) -> Lane<'s>
+    where
+        'a: 's,
+    {
+        match self {
+            Operand::Slice(s) => Lane::Slice(&s[at.clone()]),
+            Operand::Scalar(x) => Lane::Scalar(x),
+            Operand::Member(m) => Lane::Slice(&done[m * STRIP..m * STRIP + at.len()]),
+        }
+    }
+
+    /// A param or constant operand: `None` unless f32.
+    fn leaf(t: &'a Tensor) -> Option<Operand<'a>> {
+        match t.as_f32().ok()? {
+            [x] => Some(Operand::Scalar(*x)),
+            v => Some(Operand::Slice(v)),
+        }
+    }
+}
+
+/// One member's resolved operands and value shape.
+struct Resolved<'a> {
+    /// Unused slots (the second of a unary member, both of an anchor) hold
+    /// `Scalar(0.0)`.
+    args: [Operand<'a>; 2],
+    /// Rank of the member's value: the highest rank among its operands.
+    rank: usize,
+    /// The value has one element (every operand has).
+    one: bool,
+}
+
+/// Joins a non-one-element operand's dims into the group's common core:
+/// its dims after dropping leading 1s, so `[128]` aligns with `[1, 128]`.
+/// Returns the operand's `(rank, one)`, or `None` on a real broadcast.
+fn align<'d>(core: &mut Option<&'d [usize]>, dims: &'d [usize]) -> Option<(usize, bool)> {
+    if dims.iter().product::<usize>() == 1 {
+        return Some((dims.len(), true));
+    }
+    let lead = dims.iter().take_while(|&&d| d == 1).count();
+    match core {
+        None => *core = Some(&dims[lead..]),
+        Some(c) if *c == &dims[lead..] => {}
+        Some(_) => return None,
+    }
+    Some((dims.len(), false))
+}
+
+/// One call's worth of strip evaluation: every operand resolved to a slice,
+/// a broadcast scalar or an earlier member, and the output dims registry
+/// broadcasting would produce.
+struct StripPlan<'a> {
+    members: Vec<Resolved<'a>>,
+    /// 1 when member 0 is an anchor whose value is already in the output.
+    start: usize,
+    dims: Vec<usize>,
+}
+
+impl<'a> StripPlan<'a> {
+    /// Resolve the members from `anchor.is_some()` on (member 0's dims when
+    /// it is an anchor). `None` when an operand is not f32, is neither one
+    /// element nor aligned, or when an anchor's buffer cannot hold the
+    /// output.
+    fn new(steps: &'a [Step], inputs: &'a [Tensor], anchor: Option<&[usize]>) -> Option<Self> {
+        let mut core: Option<&[usize]> = None;
+        let mut members: Vec<Resolved<'a>> = Vec::with_capacity(steps.len());
+        let unused = [Operand::Scalar(0.0); 2];
+        if let Some(dims) = anchor {
+            let (rank, one) = align(&mut core, dims)?;
+            members.push(Resolved {
+                args: unused,
+                rank,
+                one,
+            });
+        }
+        let start = members.len();
+        for step in &steps[start..] {
+            let mut m = Resolved {
+                args: unused,
+                rank: 0,
+                one: true,
+            };
+            for (slot, src) in m.args.iter_mut().zip(&step.args) {
+                let (rank, one) = match src {
+                    Src::Member(i) => {
+                        *slot = Operand::Member(*i);
+                        (members[*i].rank, members[*i].one)
+                    }
+                    Src::Param(i) => {
+                        *slot = Operand::leaf(&inputs[*i])?;
+                        align(&mut core, inputs[*i].dims())?
+                    }
+                    Src::Const(t) => {
+                        *slot = Operand::leaf(t)?;
+                        align(&mut core, t.dims())?
+                    }
+                };
+                m.rank = m.rank.max(rank);
+                m.one &= one;
             }
-            other => {
-                return Err(KernelError(format!(
-                    "unsupported primitive result {other:?}"
-                )))
+            members.push(m);
+        }
+        let last = members.last()?;
+        let core = match (last.one, core) {
+            (true, None) => &[][..],
+            (false, Some(c)) => c,
+            // A one-element result beside larger operands (a member the
+            // result never reads): leave it to the registry.
+            _ => return None,
+        };
+        let mut dims = vec![1; last.rank - core.len()];
+        dims.extend_from_slice(core);
+        if anchor.is_some_and(|a| a.iter().product::<usize>() != dims.iter().product()) {
+            return None;
+        }
+        Some(StripPlan {
+            members,
+            start,
+            dims,
+        })
+    }
+
+    /// Evaluate strip by strip into `out` (which already holds member 0 when
+    /// it is an anchor). Each member writes one strip buffer; the last
+    /// writes straight into `out`.
+    fn run(&self, isa: Isa, steps: &[Step], out: &mut [f32]) {
+        let n = steps.len();
+        let mut scratch = vec![0.0f32; (n - 1) * STRIP];
+        for (k, out_strip) in out.chunks_mut(STRIP).enumerate() {
+            let at = k * STRIP..k * STRIP + out_strip.len();
+            if self.start == 1 {
+                scratch[..at.len()].copy_from_slice(out_strip);
+            }
+            let members = self.members.iter().zip(steps).enumerate();
+            for (j, (member, step)) in members.skip(self.start) {
+                let (done, rest) = scratch.split_at_mut(j * STRIP);
+                let dst = if j + 1 == n {
+                    &mut *out_strip
+                } else {
+                    &mut rest[..at.len()]
+                };
+                let [a, b] = member.args;
+                let op = step.ew.expect("strip members are elementwise");
+                op.apply(isa, dst, a.strip(done, &at), b.strip(done, &at));
             }
         }
     }
 }
 
-/// Unary elementwise f32 ops that can be applied in place.
-fn unary_inplace(name: &str) -> Option<nimble_tensor::UnaryOp> {
-    // `exp` is deliberately excluded: the IR has no bare-exp elementwise op.
-    nimble_tensor::UnaryOp::from_name(name)
-}
-
-/// Fast path: `anchor(args…)` followed only by unary elementwise members
-/// on the running value → run the anchor once, then one in-place sweep
-/// applying the composed scalar function.
-fn compile_unary_chain(func: &Function) -> Result<Option<Kernel>, KernelError> {
+/// GEMM-epilogue fast path: `dense(x, w[, bias])` followed only by unary
+/// members, each on the previous one. The bias add and the whole unary
+/// chain run inside the GEMM's write-out pass, so the output is touched
+/// exactly once, and the kernel carries the [`DenseSpec`] the runtime
+/// specializer concretizes.
+fn compile_dense_epilogue(func: &Function) -> Option<Kernel> {
     let mut cur = func.body.clone();
-    let mut members: Vec<(String, Vec<Expr>, Attrs)> = Vec::new();
+    let mut members: Vec<(String, Vec<Expr>)> = Vec::new();
     let mut member_vars: Vec<u32> = Vec::new();
     while let ExprKind::Let { var, value, body } = cur.kind() {
-        let Some((name, args, attrs)) = value.as_op_call() else {
-            return Ok(None);
-        };
-        members.push((name.to_string(), args.to_vec(), attrs.clone()));
+        let (name, args, _) = value.as_op_call()?;
+        members.push((name.to_string(), args.to_vec()));
         member_vars.push(var.id);
         cur = body.clone();
     }
     // Result must be the last member.
     let ExprKind::Var(res) = cur.kind() else {
-        return Ok(None);
+        return None;
     };
     if member_vars.last() != Some(&res.id) || members.len() < 2 {
-        return Ok(None);
+        return None;
     }
-    // Members after the first must be unary-inplace on the previous value.
-    let mut fns: Vec<nimble_tensor::UnaryOp> = Vec::new();
-    for (i, (name, args, _)) in members.iter().enumerate().skip(1) {
-        let Some(f) = unary_inplace(name) else {
-            return Ok(None);
-        };
-        let ok = args.len() == 1
+    let (anchor, anchor_args) = &members[0];
+    if anchor != "dense" || !(2..=3).contains(&anchor_args.len()) {
+        return None;
+    }
+    let mut fns: Vec<UnaryOp> = Vec::new();
+    for (i, (name, args)) in members.iter().enumerate().skip(1) {
+        let on_prev = args.len() == 1
             && matches!(args[0].kind(), ExprKind::Var(v) if v.id == member_vars[i - 1]);
-        if !ok {
-            return Ok(None);
+        if !on_prev {
+            return None;
         }
-        fns.push(f);
+        fns.push(UnaryOp::from_name(name)?);
     }
-    // Anchor executes through the registry; its args may reference params
-    // and constants only.
-    let (anchor_name, anchor_args, anchor_attrs) = members[0].clone();
-    let def = op::lookup(&anchor_name)?;
-    let param_ids: Vec<u32> = func.params.iter().map(|p| p.id).collect();
-    let mut arg_sources: Vec<Result<usize, Tensor>> = Vec::new(); // Ok(param idx) | Err(constant)
-    for a in &anchor_args {
-        match a.kind() {
-            ExprKind::Var(v) => match param_ids.iter().position(|&id| id == v.id) {
-                Some(idx) => arg_sources.push(Ok(idx)),
-                None => return Ok(None),
-            },
-            ExprKind::Constant(t) => arg_sources.push(Err(t.clone())),
-            _ => return Ok(None),
-        }
-    }
+    // The GEMM operands may reference params and constants only.
+    let srcs = anchor_args
+        .iter()
+        .map(|a| match a.kind() {
+            ExprKind::Var(v) => func
+                .params
+                .iter()
+                .position(|p| p.id == v.id)
+                .map(ArgSrc::Input),
+            ExprKind::Constant(t) => Some(ArgSrc::Const(t.clone())),
+            _ => None,
+        })
+        .collect::<Option<Vec<_>>>()?;
     let chain_label = members[1..]
         .iter()
-        .map(|(n, _, _)| n.as_str())
+        .map(|(n, _)| n.as_str())
         .collect::<Vec<_>>()
         .join("+");
-    if anchor_name == "dense" && (arg_sources.len() == 2 || arg_sources.len() == 3) {
-        // Deeper fusion for the hottest anchor: the bias add and the whole
-        // unary chain run inside the GEMM's write-out pass, so the output
-        // is touched exactly once (no post-anchor sweep at all).
-        let name = format!("fused(dense+{chain_label} epilogue)");
-        let to_src = |s: &Result<usize, Tensor>| match s {
-            Ok(i) => ArgSrc::Input(*i),
-            Err(c) => ArgSrc::Const(c.clone()),
-        };
-        let spec = DenseSpec {
-            x: to_src(&arg_sources[0]),
-            w: to_src(&arg_sources[1]),
-            bias: arg_sources.get(2).map(to_src),
-            unary: fns.clone(),
-        };
-        return Ok(Some(
-            Kernel::new(&name, move |inputs| {
-                let gathered: Vec<Tensor> = arg_sources
-                    .iter()
-                    .map(|src| match src {
-                        Ok(i) => inputs
-                            .get(*i)
-                            .cloned()
-                            .ok_or_else(|| KernelError("missing primitive input".into())),
-                        Err(c) => Ok(c.clone()),
-                    })
-                    .collect::<Result<_, _>>()?;
-                let out = nimble_tensor::kernels::dense_with_epilogue(
-                    &gathered[0],
-                    &gathered[1],
-                    gathered.get(2),
-                    &fns,
-                )?;
-                Ok(vec![out])
-            })
-            .with_spec(spec),
-        ));
-    }
-    let exec = def.execute;
-    let name = format!("fused({anchor_name}+{chain_label} inplace)");
-    Ok(Some(Kernel::new(&name, move |inputs| {
-        let gathered: Vec<Tensor> = arg_sources
-            .iter()
-            .map(|src| match src {
-                Ok(i) => inputs
-                    .get(*i)
-                    .cloned()
-                    .ok_or_else(|| KernelError("missing primitive input".into())),
-                Err(c) => Ok(c.clone()),
-            })
-            .collect::<Result<_, _>>()?;
-        let outs = exec(&gathered, &anchor_attrs)?;
-        let mut out = outs
-            .into_iter()
-            .next()
-            .ok_or_else(|| KernelError("anchor produced no output".into()))?;
-        // One in-place sweep applying the whole unary chain, vectorized on
-        // the active backend through the shared epilogue-row primitive.
-        let buf = out.as_f32_mut()?;
-        nimble_simd::vecmath::epilogue_row(nimble_simd::active(), buf, None, &fns);
-        Ok(vec![out])
-    })))
+    let spec = DenseSpec {
+        x: srcs[0].clone(),
+        w: srcs[1].clone(),
+        bias: srcs.get(2).cloned(),
+        unary: fns.clone(),
+    };
+    let name = format!("fused(dense+{chain_label} epilogue)");
+    Some(
+        Kernel::new(&name, move |inputs| {
+            let operand = |i: usize| {
+                srcs[i]
+                    .resolve(inputs)
+                    .ok_or_else(|| KernelError("missing primitive input".into()))
+            };
+            let bias = (srcs.len() == 3).then(|| operand(2)).transpose()?;
+            let out =
+                nimble_tensor::kernels::dense_with_epilogue(operand(0)?, operand(1)?, bias, &fns)?;
+            Ok(vec![out])
+        })
+        .with_spec(spec),
+    )
 }
 
 #[cfg(test)]

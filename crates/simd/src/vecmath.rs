@@ -353,8 +353,8 @@ fn sanitize(isa: Isa) -> Isa {
 
 /// In-place fused row epilogue: `dst[i] = chain(dst[i] + bias[i])`.
 ///
-/// The GEMM write-out, the codegen in-place unary chains, and
-/// [`unary_slice`] all route through this — there is exactly one
+/// The GEMM write-out and [`unary_slice`] (so every standalone and fused
+/// elementwise unary op) route through this — there is exactly one
 /// masked-tail implementation in the workspace. Chains containing
 /// [`UnaryOp::Custom`] (or `isa == Scalar`) run the scalar reference.
 pub fn epilogue_row(isa: Isa, dst: &mut [f32], bias: Option<&[f32]>, ops: &[UnaryOp]) {
@@ -616,10 +616,10 @@ pub fn unary_poly_reference(op: UnaryOp, x: f32) -> f32 {
 /// * `Sse2` → the same polynomials over [`crate::ScalarNoFmaF32`], whose
 ///   `mul_add` takes two roundings exactly like SSE2's mul+add pair.
 ///
-/// Fused single-pass evaluators (codegen's elementwise interpreter) use
-/// this so a value flowing through a fused kernel gets bit-identical
-/// treatment to one flowing through the standalone elementwise op under
-/// the same active backend — fusion grouping never changes output bits.
+/// `vecmath_props` pins [`unary_slice`] to this bit for bit: an element's
+/// result depends only on its value, never on its position in the slice,
+/// so codegen's fused strip evaluator may cut a tensor into strips of any
+/// width without moving a bit.
 pub fn unary_scalar_lane(isa: Isa, op: UnaryOp, x: f32) -> f32 {
     if !op.vectorizable() {
         return op.apply_scalar(x);
@@ -727,6 +727,10 @@ mod tests {
         let ops = [UnaryOp::Tanh, UnaryOp::Custom(|v| v * 2.0)];
         let mut got = src;
         epilogue_row(Isa::Scalar, &mut got, Some(&bias), &ops);
+        // Opaque inputs: with constants, an optimized build folds `tanh` at
+        // compile time, and the folded tanh(0.3) is one ULP from the
+        // run-time libm result the kernel computes.
+        let (src, bias) = (std::hint::black_box(src), std::hint::black_box(bias));
         for i in 0..src.len() {
             let want = (src[i] + bias[i]).tanh() * 2.0;
             assert_eq!(got[i].to_bits(), want.to_bits());
