@@ -146,6 +146,7 @@ fn sweep(workload: &Workload, effort: Effort, worker_counts: &[usize]) -> Vec<Po
                 engine.submit(
                     "main",
                     workload.requests[i % workload.requests.len()].clone(),
+                    None,
                 )
             })
             .collect();
@@ -159,6 +160,7 @@ fn sweep(workload: &Workload, effort: Effort, worker_counts: &[usize]) -> Vec<Po
                 engine.submit(
                     "main",
                     workload.requests[i % workload.requests.len()].clone(),
+                    None,
                 )
             })
             .collect();

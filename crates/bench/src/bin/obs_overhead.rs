@@ -24,9 +24,7 @@
 //! always-on path must stay within 3% of `NIMBLE_TRACE=off` (same
 //! paired-delta protocol as gate A), and must drop zero spans while
 //! doing it. Measured through the full serve stack (registry + router),
-//! because the router's terminal accounting is where buffers are
-//! reclaimed — a bare engine loop never finishes a flight buffer and
-//! measures safety-valve churn instead of steady state.
+//! the path production traffic takes to its terminal verdict.
 
 use nimble_bench::harness::Effort;
 use nimble_bench::workload::mrpc_lengths;
@@ -86,9 +84,11 @@ fn throughput(bench: &Bench, n: usize) -> f64 {
     let start = Instant::now();
     let tickets: Vec<_> = (0..n)
         .map(|i| {
-            bench
-                .engine
-                .submit("main", bench.requests[i % bench.requests.len()].clone())
+            bench.engine.submit(
+                "main",
+                bench.requests[i % bench.requests.len()].clone(),
+                None,
+            )
         })
         .collect();
     for t in tickets {
@@ -322,9 +322,11 @@ fn main() {
     let k = if full { 32 } else { 8 };
     let tickets: Vec<_> = (0..k)
         .map(|i| {
-            bench
-                .engine
-                .submit("main", bench.requests[i % bench.requests.len()].clone())
+            bench.engine.submit(
+                "main",
+                bench.requests[i % bench.requests.len()].clone(),
+                None,
+            )
         })
         .collect();
     for t in tickets {

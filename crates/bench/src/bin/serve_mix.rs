@@ -22,7 +22,7 @@
 //! asserting the batched outputs are **bitwise identical** to the
 //! unbatched ones, that real batches formed, that nothing is lost, and
 //! that batched throughput at 2x overload beats unbatched (>= 1.8x under
-//! `--full`). A `--full` run writes its results to `BENCH_batching.json`.
+//! `--full`).
 
 use nimble_bench::harness::Effort;
 use nimble_bench::workload::mrpc_lengths;
@@ -308,8 +308,7 @@ fn overload_mixes(mixes: &[ClientMix], burst: usize) -> Vec<ClientMix> {
 }
 
 /// The `--batching` A/B: bitwise identity, then 2x-overload throughput,
-/// unbatched stack vs batch-planned stack; `--full` writes
-/// BENCH_batching.json.
+/// unbatched stack vs batch-planned stack.
 fn batching_mode(effort: Effort) {
     let full = effort == Effort::full();
     println!("serve_mix --batching: dynamic batching A/B ({effort:?})");
@@ -449,41 +448,6 @@ fn batching_mode(effort: Effort) {
             speedup >= 1.8,
             "batched speedup {speedup:.2}x below the 1.8x bar at 2x overload"
         );
-    }
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"serve_mix_batching\",\n",
-            "  \"effort\": \"{}\",\n",
-            "  \"models\": [\"lstm\", \"bert\"],\n",
-            "  \"burst\": {},\n",
-            "  \"rounds\": {},\n",
-            "  \"unbatched\": {{ \"req_s\": {:.1}, \"p99_ms\": {:.3} }},\n",
-            "  \"batched\": {{ \"req_s\": {:.1}, \"p99_ms\": {:.3}, \"batches_formed\": {}, ",
-            "\"batched_requests\": {}, \"mean_batch_size\": {:.2}, \"pad_waste_ratio\": {:.3} }},\n",
-            "  \"speedup\": {:.2},\n",
-            "  \"outputs\": \"bitwise-identical\",\n",
-            "  \"lost\": 0\n",
-            "}}\n"
-        ),
-        if full { "full" } else { "smoke" },
-        burst,
-        rounds,
-        rate_u,
-        p99_u.as_secs_f64() * 1e3,
-        rate_b,
-        p99_b.as_secs_f64() * 1e3,
-        batches_formed,
-        batched_requests,
-        mean_batch,
-        pad_waste,
-        speedup,
-    );
-    // Only a full run updates the committed trajectory.
-    if full {
-        std::fs::write("BENCH_batching.json", json).expect("write BENCH_batching.json");
-        println!("wrote BENCH_batching.json");
     }
     println!("serve_mix --batching: OK");
 }

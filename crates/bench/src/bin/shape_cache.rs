@@ -14,8 +14,7 @@
 //! 3. under `--full`, **>= 1.2x p50** on the hot shape after warmup
 //!    (the concretized kernel vs the symbolic one).
 //!
-//! A `--full` run writes its results to `BENCH_specialize.json`;
-//! `--smoke` (the default effort) is wired into CI and writes nothing.
+//! `--smoke` (the default effort) is wired into CI.
 
 use nimble_bench::harness::Effort;
 use nimble_core::{CompileOptions, EngineConfig};
@@ -223,44 +222,5 @@ fn main() {
         prepack_baseline,
         "teardown must return the prepack cache to baseline"
     );
-
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"shape_cache\",\n",
-            "  \"effort\": \"{}\",\n",
-            "  \"requests\": {},\n",
-            "  \"shapes\": {:?},\n",
-            "  \"hot_rows\": {},\n",
-            "  \"hot_share\": {:.3},\n",
-            "  \"hits\": {},\n",
-            "  \"misses\": {},\n",
-            "  \"tunes\": {},\n",
-            "  \"installs\": {},\n",
-            "  \"p50_off_us\": {:.2},\n",
-            "  \"p50_on_us\": {:.2},\n",
-            "  \"speedup\": {:.2},\n",
-            "  \"outputs\": \"bitwise-identical\",\n",
-            "  \"tunes_on_request_path\": 0\n",
-            "}}\n"
-        ),
-        if full { "full" } else { "smoke" },
-        schedule.len(),
-        SHAPES,
-        hot,
-        hot_share,
-        after.hits,
-        after.misses,
-        after.tunes,
-        after.installs,
-        p50_off.as_secs_f64() * 1e6,
-        p50_on.as_secs_f64() * 1e6,
-        speedup,
-    );
-    // Only a full run updates the committed trajectory.
-    if full {
-        std::fs::write("BENCH_specialize.json", json).expect("write BENCH_specialize.json");
-        println!("wrote BENCH_specialize.json");
-    }
     println!("shape_cache: OK");
 }

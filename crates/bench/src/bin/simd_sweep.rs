@@ -13,8 +13,6 @@
 //!   *never* faster means dispatch is broken).
 //! * `--full`  — the numbers recorded in EXPERIMENTS.md; gates ≥2× on at
 //!   least one vecmath kernel and ≥1.3× on the BERT-shape GEMM.
-//!
-//! A `--full` run writes its results to `BENCH_simd.json`.
 
 use nimble_bench::harness::{measure, render_table};
 use nimble_simd::vecmath::{
@@ -214,30 +212,6 @@ fn main() {
             &table
         )
     );
-
-    let mut json = String::from("{\n  \"bench\": \"simd_sweep\",\n");
-    json.push_str(&format!(
-        "  \"effort\": \"{}\",\n  \"backend\": \"{}\",\n  \"kernels\": [\n",
-        if full { "full" } else { "smoke" },
-        best.label()
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"scalar_us\": {:.2}, \"simd_us\": {:.2}, \"speedup\": {:.2}}}{}\n",
-            r.name,
-            r.scalar.as_secs_f64() * 1e6,
-            r.simd.as_secs_f64() * 1e6,
-            r.speedup(),
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n  \"gemm_outputs\": \"bitwise-identical\",\n");
-    json.push_str("  \"vecmath_outputs\": \"within documented ULP contract\"\n}\n");
-    // Only a full run updates the committed trajectory.
-    if full {
-        std::fs::write("BENCH_simd.json", json).expect("write BENCH_simd.json");
-        println!("wrote BENCH_simd.json");
-    }
 
     // Timing gates. Smoke keeps the weakest possible claim (noisy CI
     // boxes): *some* kernel must beat forced-scalar.

@@ -13,9 +13,10 @@
 //! `max_batch - 1` opportunistic pops) so a busy queue amortizes the
 //! wake-up cost across requests.
 //!
-//! Requests may carry a **deadline** ([`Engine::submit_with_deadline`]):
-//! a request whose deadline has already passed when a worker dequeues it
-//! is *not* executed — its ticket resolves to [`EngineError::Expired`].
+//! Requests may carry a **deadline** (the last argument of
+//! [`Engine::submit`] / [`Engine::try_submit`]): a request whose deadline
+//! has already passed when a worker dequeues it is *not* executed — its
+//! ticket resolves to [`EngineError::Expired`].
 //! This keeps a backlogged queue from burning device time on answers
 //! nobody is still waiting for, and is the mechanism the serving layer's
 //! router builds its latency guarantees on.
@@ -117,9 +118,35 @@ impl std::fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
+/// Terminal outcome of one request, defined once for every layer: its
+/// value is the `arg` of the request's root span (the engine's
+/// `engine.request` root and the serving layer's per-model root alike).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u64)]
+pub enum Outcome {
+    /// Ran and returned a VM result.
+    Completed = 0,
+    /// Ran and returned a VM error.
+    Failed = 1,
+    /// The deadline passed while queued; never ran.
+    Expired = 2,
+    /// The replica holding it died (engine: killed while queued) and no
+    /// survivor took it.
+    ReplicaDeath = 3,
+    /// Refused at admission.
+    Shed = 4,
+}
+
+/// One queued request: the argument payload, consumed by execution, and
+/// the envelope that survives until the reply.
 struct Request {
-    function: String,
     args: Vec<Object>,
+    env: Envelope,
+}
+
+/// Everything about a request except its arguments.
+struct Envelope {
+    function: String,
     reply: Sender<std::result::Result<Completion, EngineError>>,
     submitted: Instant,
     deadline: Option<Instant>,
@@ -127,27 +154,73 @@ struct Request {
     /// engine started itself for direct submissions).
     ctx: SpanContext,
     /// Whether this engine made the sampling decision (no upstream trace)
-    /// and therefore records the trace's root span at the terminal state.
+    /// and therefore closes the trace — root span and flight verdict — at
+    /// the terminal state.
     owns_root: bool,
     /// Submission time on the obs clock; 0 when the trace is not sampled.
     submitted_ns: u64,
 }
 
-/// Trace fields for a request being submitted: adopt the caller's context
-/// when one exists, otherwise make the admission sampling decision here.
-fn admission_ctx() -> (SpanContext, bool, u64) {
-    let cur = nimble_obs::current();
-    let (ctx, owns_root) = if !cur.is_sampled() {
-        (nimble_obs::start_trace(), true)
-    } else {
-        (cur, false)
-    };
-    let submitted_ns = if ctx.is_sampled() {
-        nimble_obs::now_ns()
-    } else {
-        0
-    };
-    (ctx, owns_root && ctx.is_sampled(), submitted_ns)
+impl Request {
+    /// Stamp a request for admission and hand back the ticket its reply
+    /// resolves. The trace context is the caller's when one exists;
+    /// otherwise the admission sampling decision is made here.
+    fn new(function: &str, args: Vec<Object>, deadline: Option<Instant>) -> (Request, Ticket) {
+        let (reply, rx) = unbounded();
+        let cur = nimble_obs::current();
+        let owns_root = !cur.is_sampled();
+        let ctx = if owns_root {
+            nimble_obs::start_trace()
+        } else {
+            cur
+        };
+        let submitted_ns = if ctx.is_sampled() {
+            nimble_obs::now_ns()
+        } else {
+            0
+        };
+        let env = Envelope {
+            function: function.to_string(),
+            reply,
+            submitted: Instant::now(),
+            deadline,
+            ctx,
+            owns_root: owns_root && ctx.is_sampled(),
+            submitted_ns,
+        };
+        (Request { args, env }, Ticket { reply: rx })
+    }
+}
+
+impl Envelope {
+    /// Close a trace this engine started: the `engine.request` root span
+    /// carrying `outcome`, then the flight verdict keyed by the entry
+    /// function. No-op for a trace owned upstream.
+    fn close_trace(&self, outcome: Outcome) {
+        if !self.owns_root {
+            return;
+        }
+        let end_ns = nimble_obs::now_ns();
+        nimble_obs::record_root(
+            self.ctx,
+            "engine.request",
+            ObsCat::Engine,
+            self.submitted_ns,
+            end_ns,
+            outcome as u64,
+        );
+        if outcome == Outcome::Shed {
+            nimble_obs::flight::finish_shed(self.ctx, &self.function, "shed_queue_full");
+        } else {
+            let latency_ns = end_ns.saturating_sub(self.submitted_ns);
+            nimble_obs::flight::finish(
+                self.ctx,
+                &self.function,
+                latency_ns,
+                outcome == Outcome::Completed,
+            );
+        }
+    }
 }
 
 /// Handle to one in-flight request; resolves to a [`Completion`].
@@ -216,17 +289,7 @@ struct WorkerCtrl {
     /// Shape bucket of the most recently formed batch ([`NO_BUCKET`] when
     /// none yet) — the shard layer's shape-affinity admission hint.
     last_bucket: AtomicU64,
-    /// Ring of recently admitted request shape keys (stored as `key + 1`;
-    /// 0 = empty slot) — the shard layer's specialization-warmth hint:
-    /// among equally loaded replicas, one that recently ran a shape the
-    /// model's specialization cache holds is preferred for it.
-    warm_shapes: [AtomicU64; WARM_RING],
-    /// Next ring slot to overwrite.
-    warm_cursor: AtomicUsize,
 }
-
-/// Slots in the recently-admitted-shape ring.
-const WARM_RING: usize = 8;
 
 impl Default for WorkerCtrl {
     fn default() -> WorkerCtrl {
@@ -237,8 +300,6 @@ impl Default for WorkerCtrl {
             aborted: AtomicBool::new(false),
             label: AtomicU64::new(0),
             last_bucket: AtomicU64::new(NO_BUCKET),
-            warm_shapes: std::array::from_fn(|_| AtomicU64::new(0)),
-            warm_cursor: AtomicUsize::new(0),
         }
     }
 }
@@ -443,27 +504,6 @@ impl Engine {
             .store(bucket as u64, Ordering::Relaxed);
     }
 
-    /// Note that a request with shape key `key` was admitted to this
-    /// replica (called by the shard layer on admission; lossy by design —
-    /// a ring of the last few shapes, not a history).
-    pub fn note_warm_shape(&self, key: u64) {
-        if self.has_warm_shape(key) {
-            return;
-        }
-        let slot =
-            self.ctrl.warm_cursor.fetch_add(1, Ordering::Relaxed) % self.ctrl.warm_shapes.len();
-        self.ctrl.warm_shapes[slot].store(key.wrapping_add(1), Ordering::Relaxed);
-    }
-
-    /// Whether `key` is in this replica's recently admitted shape ring.
-    pub fn has_warm_shape(&self, key: u64) -> bool {
-        let tagged = key.wrapping_add(1);
-        self.ctrl
-            .warm_shapes
-            .iter()
-            .any(|s| s.load(Ordering::Relaxed) == tagged)
-    }
-
     /// A clone of the queue sender, or `None` after shutdown. Cloning
     /// under the lock and sending outside it keeps blocking sends from
     /// stalling [`Engine::shutdown`]'s lock acquisition; workers only exit
@@ -474,49 +514,23 @@ impl Engine {
     }
 
     /// Enqueue a request, blocking while the queue is full (backpressure).
+    /// If `deadline` passes before a worker dequeues the request, it is
+    /// skipped and the ticket resolves to [`EngineError::Expired`].
     ///
     /// After [`Engine::shutdown`] the returned ticket resolves immediately
     /// to [`EngineError::Closed`].
-    pub fn submit(&self, function: &str, args: Vec<Object>) -> Ticket {
-        self.submit_inner(function, args, None)
-    }
-
-    /// [`Engine::submit`] with a deadline: if the deadline passes before a
-    /// worker dequeues the request, it is skipped and the ticket resolves
-    /// to [`EngineError::Expired`].
-    pub fn submit_with_deadline(
-        &self,
-        function: &str,
-        args: Vec<Object>,
-        deadline: Instant,
-    ) -> Ticket {
-        self.submit_inner(function, args, Some(deadline))
-    }
-
-    fn submit_inner(&self, function: &str, args: Vec<Object>, deadline: Option<Instant>) -> Ticket {
+    pub fn submit(&self, function: &str, args: Vec<Object>, deadline: Option<Instant>) -> Ticket {
         let Some(queue) = self.sender() else {
             return Ticket::closed();
         };
-        let (reply_tx, reply_rx) = unbounded();
-        let (ctx, owns_root, submitted_ns) = admission_ctx();
-        let req = Request {
-            function: function.to_string(),
-            args,
-            reply: reply_tx,
-            submitted: Instant::now(),
-            deadline,
-            ctx,
-            owns_root,
-            submitted_ns,
-        };
-        match queue.send(req) {
-            Ok(()) => Ticket { reply: reply_rx },
-            // Workers already exited (shutdown raced us): closed ticket.
-            Err(_) => Ticket::closed(),
-        }
+        let (req, ticket) = Request::new(function, args, deadline);
+        // The engine keeps a receiver, so the send cannot fail; were it to,
+        // the dropped reply sender would resolve the ticket `Closed`.
+        let _ = queue.send(req);
+        ticket
     }
 
-    /// Enqueue a request without blocking.
+    /// [`Engine::submit`] without blocking.
     ///
     /// # Errors
     /// [`EngineError::Busy`] when the queue is at capacity,
@@ -525,54 +539,22 @@ impl Engine {
         &self,
         function: &str,
         args: Vec<Object>,
-    ) -> std::result::Result<Ticket, EngineError> {
-        self.try_submit_inner(function, args, None)
-    }
-
-    /// [`Engine::try_submit`] with a deadline (see
-    /// [`Engine::submit_with_deadline`]).
-    ///
-    /// # Errors
-    /// [`EngineError::Busy`] when the queue is at capacity,
-    /// [`EngineError::Closed`] after shutdown.
-    pub fn try_submit_with_deadline(
-        &self,
-        function: &str,
-        args: Vec<Object>,
-        deadline: Instant,
-    ) -> std::result::Result<Ticket, EngineError> {
-        self.try_submit_inner(function, args, Some(deadline))
-    }
-
-    fn try_submit_inner(
-        &self,
-        function: &str,
-        args: Vec<Object>,
         deadline: Option<Instant>,
     ) -> std::result::Result<Ticket, EngineError> {
-        let Some(queue) = self.sender() else {
-            return Err(EngineError::Closed);
-        };
-        let (reply_tx, reply_rx) = unbounded();
-        let (ctx, owns_root, submitted_ns) = admission_ctx();
-        let req = Request {
-            function: function.to_string(),
-            args,
-            reply: reply_tx,
-            submitted: Instant::now(),
-            deadline,
-            ctx,
-            owns_root,
-            submitted_ns,
-        };
+        let queue = self.sender().ok_or(EngineError::Closed)?;
+        let (req, ticket) = Request::new(function, args, deadline);
         match queue.try_send(req) {
-            Ok(()) => Ok(Ticket { reply: reply_rx }),
-            Err(TrySendError::Full(_)) => Err(EngineError::Busy),
-            Err(TrySendError::Disconnected(_)) => Err(EngineError::Closed),
+            Ok(()) => Ok(ticket),
+            // Only `Full` is reachable: the engine keeps a receiver.
+            Err(TrySendError::Full(req) | TrySendError::Disconnected(req)) => {
+                req.env.close_trace(Outcome::Shed);
+                Err(EngineError::Busy)
+            }
         }
     }
 
-    /// Submit and wait — the synchronous convenience path.
+    /// Submit without a deadline and wait — the synchronous convenience
+    /// path.
     ///
     /// # Errors
     /// [`EngineError::Closed`] when the engine shut down mid-request.
@@ -581,7 +563,7 @@ impl Engine {
         function: &str,
         args: Vec<Object>,
     ) -> std::result::Result<Completion, EngineError> {
-        self.submit(function, args).wait()
+        self.submit(function, args, None).wait()
     }
 
     /// Drain and stop: refuse new submissions, let workers finish every
@@ -797,7 +779,7 @@ impl Worker<'_> {
                 let Some(p) = w.pick(req) else {
                     return false;
                 };
-                if p.req.function == plan.function {
+                if p.req.env.function == plan.function {
                     if let Some(key) = (plan.key)(&p.req.args) {
                         if let Some(bucket) = plan.bucket_for(key) {
                             match groups.iter_mut().find(|(b, _)| *b == bucket) {
@@ -829,7 +811,7 @@ impl Worker<'_> {
             let mut close_at = Instant::now() + plan.config.max_wait;
             for (_, g) in &groups {
                 for (p, _) in g {
-                    if let Some(d) = p.req.deadline {
+                    if let Some(d) = p.req.env.deadline {
                         close_at = close_at.min(d);
                     }
                 }
@@ -841,7 +823,7 @@ impl Worker<'_> {
                 }
                 match self.rx.recv_timeout(close_at - now) {
                     Ok(req) => {
-                        let deadline = req.deadline;
+                        let deadline = req.env.deadline;
                         if partition(self, req, &mut groups) {
                             members += 1;
                             if let Some(d) = deadline {
@@ -873,98 +855,73 @@ impl Worker<'_> {
     /// out of the queue (into a forming batch or straight to execution).
     /// Replies and returns `None` when the request must not execute.
     fn pick(&self, req: Request) -> Option<Picked> {
-        if self.ctrl.aborted.load(Ordering::Acquire) {
-            // Killed replica: abandoned work is answered explicitly,
-            // never executed, never silent. Payload drops first so a
-            // caller observing Closed sees memory back at baseline.
-            let Request { args, reply, .. } = req;
-            drop(args);
-            self.counters.closed.fetch_add(1, Ordering::Relaxed);
-            let _ = reply.send(Err(EngineError::Closed));
-            return None;
-        }
-        // Queue wait ends the moment this worker picks the request up
-        // (also recorded as a span under the request's trace, tagged with
-        // the replica label).
-        let queued = req.submitted.elapsed();
-        let dequeued_ns = if req.ctx.is_sampled() {
-            let now = nimble_obs::now_ns();
-            nimble_obs::record_under(
-                req.ctx,
-                "engine.queue",
-                ObsCat::Engine,
-                req.submitted_ns,
-                now,
-                self.ctrl.label.load(Ordering::Relaxed),
-            );
-            now
+        // Queue wait ends the moment this worker picks the request up.
+        let queued = req.env.submitted.elapsed();
+        // Killed replica: abandoned work is answered explicitly, never
+        // executed, never silent.
+        let refusal = if self.ctrl.aborted.load(Ordering::Acquire) {
+            Some(EngineError::Closed)
         } else {
-            0
-        };
-        // Deadline-aware pickup: a request nobody is waiting for anymore
-        // is answered with Expired instead of executed (or batched).
-        if let Some(deadline) = req.deadline {
-            if Instant::now() >= deadline {
-                // Release the request's payload (argument tensors and any
-                // storage already allocated for them) *before* replying: a
-                // caller observing Expired must be able to assert memory
-                // is back at its idle baseline without racing this
-                // worker's cleanup.
-                let Request {
-                    args,
-                    reply,
-                    ctx,
-                    owns_root,
-                    submitted_ns,
-                    ..
-                } = req;
-                drop(args);
-                self.counters.expired.fetch_add(1, Ordering::Relaxed);
-                if owns_root {
-                    nimble_obs::record_root(
-                        ctx,
-                        "engine.request",
-                        ObsCat::Engine,
-                        submitted_ns,
-                        dequeued_ns,
-                        2,
-                    );
-                }
-                let _ = reply.send(Err(EngineError::Expired));
-                return None;
+            // The queue wait is also a span under the request's trace,
+            // tagged with the replica label.
+            let env = &req.env;
+            if env.ctx.is_sampled() {
+                nimble_obs::record_under(
+                    env.ctx,
+                    "engine.queue",
+                    ObsCat::Engine,
+                    env.submitted_ns,
+                    nimble_obs::now_ns(),
+                    self.ctrl.label.load(Ordering::Relaxed),
+                );
             }
-        }
-        Some(Picked { req, queued })
+            // Deadline-aware pickup: a request nobody is waiting for
+            // anymore is answered with Expired instead of executed (or
+            // batched).
+            env.deadline
+                .is_some_and(|d| Instant::now() >= d)
+                .then_some(EngineError::Expired)
+        };
+        let Some(err) = refusal else {
+            return Some(Picked { req, queued });
+        };
+        // Release the request's payload (argument tensors and any storage
+        // already allocated for them) *before* replying: a caller
+        // observing the refusal must be able to assert memory is back at
+        // its idle baseline without racing this worker's cleanup.
+        let Request { args, env } = req;
+        drop(args);
+        self.conclude(env, Err(err));
+        None
     }
 
     /// Unbatched execution of one picked request.
     fn execute_single(&mut self, p: Picked) {
-        let Picked { req, queued } = p;
+        let Picked {
+            req: Request { args, env },
+            queued,
+        } = p;
         let exec_start = Instant::now();
         let result = {
-            let _g = nimble_obs::enter(req.ctx);
+            let _g = nimble_obs::enter(env.ctx);
             // High half: replica label; low half: worker index.
             let tag = (self.ctrl.label.load(Ordering::Relaxed) << 32) | self.worker_idx as u64;
             let _s = nimble_obs::span_full("engine.run", ObsCat::Engine, tag);
-            self.vm.run_in(&mut self.session, &req.function, req.args)
+            self.vm.run_in(&mut self.session, &env.function, args)
         };
         let execution = exec_start.elapsed();
-        self.finish(
-            FinishedRequest {
-                reply: req.reply,
-                submitted: req.submitted,
-                ctx: req.ctx,
-                owns_root: req.owns_root,
-                submitted_ns: req.submitted_ns,
-            },
-            result,
-            queued,
-            execution,
-            1,
-        );
         self.counters
             .execution_ns
             .fetch_add(execution.as_nanos() as u64, Ordering::Relaxed);
+        let completion = Completion {
+            result,
+            latency: env.submitted.elapsed(),
+            queued,
+            execution,
+            worker: self.worker_idx,
+            batch_size: 1,
+        };
+        self.conclude(env, Ok(completion));
     }
 
     /// Batched execution: gather the members' padded inputs, run the
@@ -982,7 +939,7 @@ impl Worker<'_> {
         // terminal spans regardless).
         let leader = group
             .iter()
-            .map(|(p, _)| p.req.ctx)
+            .map(|(p, _)| p.req.env.ctx)
             .find(|c| c.is_sampled())
             .unwrap_or(SpanContext::NONE);
         let tag = (self.ctrl.label.load(Ordering::Relaxed) << 32) | self.worker_idx as u64;
@@ -1049,7 +1006,7 @@ impl Worker<'_> {
         // flight buffer so the traces survive tail-based retention.
         if padded.saturating_mul(2) > (bucket * size) as u64 {
             for (p, _) in &group {
-                nimble_obs::flight::pin(p.req.ctx, nimble_obs::flight::PIN_PAD_BATCH);
+                nimble_obs::flight::pin(p.req.env.ctx, nimble_obs::flight::PIN_PAD_BATCH);
             }
         }
         // The batch ran once: its execution wall time is added once, not
@@ -1058,21 +1015,20 @@ impl Worker<'_> {
             .execution_ns
             .fetch_add(execution.as_nanos() as u64, Ordering::Relaxed);
         for ((p, _), output) in group.into_iter().zip(outputs) {
-            let Picked { req, queued } = p;
-            drop(req.args);
-            self.finish(
-                FinishedRequest {
-                    reply: req.reply,
-                    submitted: req.submitted,
-                    ctx: req.ctx,
-                    owns_root: req.owns_root,
-                    submitted_ns: req.submitted_ns,
-                },
-                Ok(output),
+            let Picked {
+                req: Request { args, env },
+                queued,
+            } = p;
+            drop(args);
+            let completion = Completion {
+                result: Ok(output),
+                latency: env.submitted.elapsed(),
                 queued,
                 execution,
-                size,
-            );
+                worker: self.worker_idx,
+                batch_size: size,
+            };
+            self.conclude(env, Ok(completion));
         }
     }
 
@@ -1084,57 +1040,42 @@ impl Worker<'_> {
         }
     }
 
-    /// Terminal bookkeeping shared by both paths: counters, root span,
-    /// reply.
-    fn finish(
-        &self,
-        req: FinishedRequest,
-        result: std::result::Result<Object, VmError>,
-        queued: Duration,
-        execution: Duration,
-        batch_size: usize,
-    ) {
-        let latency = req.submitted.elapsed();
-        if req.owns_root {
-            nimble_obs::record_root(
-                req.ctx,
-                "engine.request",
-                ObsCat::Engine,
-                req.submitted_ns,
-                nimble_obs::now_ns(),
-                if result.is_ok() { 0 } else { 1 },
-            );
-        }
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .latency_ns
-            .fetch_add(latency.as_nanos() as u64, Ordering::Relaxed);
-        self.counters
-            .queue_ns
-            .fetch_add(queued.as_nanos() as u64, Ordering::Relaxed);
-        self.counters
-            .max_latency_ns
-            .fetch_max(latency.as_nanos() as u64, Ordering::Relaxed);
+    /// The one terminal for every dequeued request — ran (completed or
+    /// failed), expired, or abandoned by a kill: bump its counter, close
+    /// the trace when this engine owns it, and reply.
+    fn conclude(&self, env: Envelope, result: std::result::Result<Completion, EngineError>) {
+        let outcome = match &result {
+            Ok(c) => {
+                let latency = c.latency.as_nanos() as u64;
+                self.counters.completed.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .latency_ns
+                    .fetch_add(latency, Ordering::Relaxed);
+                self.counters
+                    .queue_ns
+                    .fetch_add(c.queued.as_nanos() as u64, Ordering::Relaxed);
+                self.counters
+                    .max_latency_ns
+                    .fetch_max(latency, Ordering::Relaxed);
+                if c.result.is_ok() {
+                    Outcome::Completed
+                } else {
+                    Outcome::Failed
+                }
+            }
+            Err(EngineError::Expired) => {
+                self.counters.expired.fetch_add(1, Ordering::Relaxed);
+                Outcome::Expired
+            }
+            Err(_) => {
+                self.counters.closed.fetch_add(1, Ordering::Relaxed);
+                Outcome::ReplicaDeath
+            }
+        };
+        env.close_trace(outcome);
         // A dropped Ticket just means the caller stopped listening.
-        let _ = req.reply.send(Ok(Completion {
-            result,
-            latency,
-            queued,
-            execution,
-            worker: self.worker_idx,
-            batch_size,
-        }));
+        let _ = env.reply.send(result);
     }
-}
-
-/// The slice of a [`Request`] that survives to terminal bookkeeping
-/// (arguments are consumed by execution or dropped before the reply).
-struct FinishedRequest {
-    reply: Sender<std::result::Result<Completion, EngineError>>,
-    submitted: Instant,
-    ctx: SpanContext,
-    owns_root: bool,
-    submitted_ns: u64,
 }
 
 #[cfg(test)]
@@ -1169,6 +1110,7 @@ mod tests {
                     vec![Object::tensor(
                         Tensor::from_vec_f32(vec![i as f32; 4], &[4]).unwrap(),
                     )],
+                    None,
                 )
             })
             .collect();
@@ -1203,7 +1145,7 @@ mod tests {
         let mut tickets = Vec::new();
         let mut saw_busy = false;
         for _ in 0..200 {
-            match engine.try_submit("main", arg()) {
+            match engine.try_submit("main", arg(), None) {
                 Ok(t) => tickets.push(t),
                 Err(EngineError::Busy) => {
                     saw_busy = true;
@@ -1229,7 +1171,7 @@ mod tests {
         let vm = identity_plus_one_vm();
         let engine = Engine::new(vm, EngineConfig::with_workers(2)).unwrap();
         let tickets: Vec<Ticket> = (0..16)
-            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))]))
+            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))], None))
             .collect();
         drop(engine);
         for t in tickets {
@@ -1242,7 +1184,7 @@ mod tests {
         let vm = identity_plus_one_vm();
         let engine = Engine::new(vm, EngineConfig::with_workers(2)).unwrap();
         let tickets: Vec<Ticket> = (0..16)
-            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))]))
+            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))], None))
             .collect();
         engine.shutdown();
         // Everything accepted before shutdown completed.
@@ -1252,11 +1194,11 @@ mod tests {
         assert_eq!(engine.stats().completed, 16);
         assert_eq!(engine.queue_depth(), 0);
         // New work after shutdown resolves to Closed, never blocks.
-        let late = engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))]);
+        let late = engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))], None);
         assert_eq!(late.wait().unwrap_err(), EngineError::Closed);
         assert_eq!(
             engine
-                .try_submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))])
+                .try_submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))], None)
                 .unwrap_err(),
             EngineError::Closed
         );
@@ -1277,17 +1219,13 @@ mod tests {
         )
         .unwrap();
         // A deadline already in the past must expire, not execute.
+        let one = || vec![Object::tensor(Tensor::ones_f32(&[4]))];
         let past = Instant::now() - Duration::from_millis(1);
-        let t =
-            engine.submit_with_deadline("main", vec![Object::tensor(Tensor::ones_f32(&[4]))], past);
+        let t = engine.submit("main", one(), Some(past));
         assert_eq!(t.wait().unwrap_err(), EngineError::Expired);
         // A generous deadline completes normally.
         let future = Instant::now() + Duration::from_secs(60);
-        let t = engine.submit_with_deadline(
-            "main",
-            vec![Object::tensor(Tensor::ones_f32(&[4]))],
-            future,
-        );
+        let t = engine.submit("main", one(), Some(future));
         assert!(t.wait().unwrap().result.is_ok());
         let stats = engine.stats();
         assert_eq!(stats.expired, 1);
@@ -1306,7 +1244,7 @@ mod tests {
         )
         .unwrap();
         let tickets: Vec<Ticket> = (0..8)
-            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))]))
+            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))], None))
             .collect();
         for t in tickets {
             let done = t.wait().unwrap();
@@ -1336,7 +1274,7 @@ mod tests {
         .unwrap();
         engine.pause_and_wait();
         let tickets: Vec<Ticket> = (0..6)
-            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))]))
+            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))], None))
             .collect();
         // Paused workers never touch the channel: depth is exact & stable.
         assert_eq!(engine.queue_depth(), 6);
@@ -1363,7 +1301,7 @@ mod tests {
         .unwrap();
         engine.pause_and_wait();
         let tickets: Vec<Ticket> = (0..5)
-            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))]))
+            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))], None))
             .collect();
         engine.kill();
         // Every queued request resolves — explicitly Closed, not silence,
@@ -1378,7 +1316,7 @@ mod tests {
         // New work after a kill is refused like after shutdown.
         assert_eq!(
             engine
-                .try_submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))])
+                .try_submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))], None)
                 .unwrap_err(),
             EngineError::Closed
         );
@@ -1391,7 +1329,7 @@ mod tests {
         let engine = Engine::new(identity_plus_one_vm(), EngineConfig::with_workers(2)).unwrap();
         engine.pause_and_wait();
         let tickets: Vec<Ticket> = (0..4)
-            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))]))
+            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))], None))
             .collect();
         // Graceful drain un-pauses: accepted work runs, nothing strands.
         engine.shutdown();
@@ -1415,7 +1353,7 @@ mod tests {
         vm.set_profiling(true);
         let engine = Engine::new(Arc::clone(&vm), EngineConfig::with_workers(4)).unwrap();
         let tickets: Vec<Ticket> = (0..32)
-            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))]))
+            .map(|_| engine.submit("main", vec![Object::tensor(Tensor::ones_f32(&[4]))], None))
             .collect();
         for t in tickets {
             t.wait().unwrap().result.unwrap();
@@ -1515,7 +1453,7 @@ mod tests {
         ];
         let tickets: Vec<Ticket> = inputs
             .iter()
-            .map(|v| engine.submit("main", vec_arg(v.clone())))
+            .map(|v| engine.submit("main", vec_arg(v.clone()), None))
             .collect();
         engine.resume();
         for (v, t) in inputs.iter().zip(tickets) {
@@ -1549,7 +1487,7 @@ mod tests {
         let engine = Engine::new(Arc::clone(&vm), EngineConfig::with_workers(1)).unwrap();
         assert!(engine.plan().is_none());
         let tickets: Vec<Ticket> = (0..6)
-            .map(|_| engine.submit("main", vec_arg(vec![1.0, 2.0])))
+            .map(|_| engine.submit("main", vec_arg(vec![1.0, 2.0]), None))
             .collect();
         for t in tickets {
             let done = t.wait().unwrap();
@@ -1586,13 +1524,13 @@ mod tests {
         // The expired request sits between two live ones: the deadline
         // check at pull-into-forming-batch time must drop it before it
         // can claim a batch slot or pad-inflate the gather.
-        let a = engine.submit("main", vec_arg(vec![1.0, 2.0]));
-        let dead = engine.submit_with_deadline(
+        let a = engine.submit("main", vec_arg(vec![1.0, 2.0]), None);
+        let dead = engine.submit(
             "main",
             vec_arg(vec![3.0]),
-            Instant::now() - Duration::from_millis(1),
+            Some(Instant::now() - Duration::from_millis(1)),
         );
-        let b = engine.submit("main", vec_arg(vec![4.0, 5.0, 6.0]));
+        let b = engine.submit("main", vec_arg(vec![4.0, 5.0, 6.0]), None);
         engine.resume();
         assert_eq!(dead.wait().unwrap_err(), EngineError::Expired);
         let got_a = a.wait().unwrap();
@@ -1630,7 +1568,7 @@ mod tests {
         .unwrap();
         engine.pause_and_wait();
         let tickets: Vec<Ticket> = (0..4)
-            .map(|i| engine.submit("main", vec_arg(vec![i as f32; 2])))
+            .map(|i| engine.submit("main", vec_arg(vec![i as f32; 2]), None))
             .collect();
         engine.resume();
         for (i, t) in tickets.into_iter().enumerate() {
@@ -1667,7 +1605,7 @@ mod tests {
         .unwrap();
         // A lone request can never meet min_batch = 3 with max_wait = 0:
         // it must run unbatched rather than stall.
-        let t = engine.submit("main", vec_arg(vec![2.5, -1.0]));
+        let t = engine.submit("main", vec_arg(vec![2.5, -1.0]), None);
         let done = t.wait().unwrap();
         assert_eq!(done.batch_size, 1);
         let got = done.result.unwrap().wait_tensor().unwrap();

@@ -21,7 +21,7 @@ pub mod lower;
 pub mod static_runtime;
 
 pub use compile::{compile, CompileOptions, CompileReport};
-pub use engine::{Completion, Engine, EngineConfig, EngineError, EngineStats, Ticket};
+pub use engine::{Completion, Engine, EngineConfig, EngineError, EngineStats, Outcome, Ticket};
 pub use nimble_passes::device_place::DeviceKind;
 pub use nimble_vm::{ArenaStats, StorageArena};
 pub use static_runtime::StaticGraph;

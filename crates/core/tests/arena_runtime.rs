@@ -135,7 +135,7 @@ fn expired_requests_release_storage_to_idle_baseline() {
 
     // Warm the arenas with real traffic and establish the idle baseline.
     let warm: Vec<_> = (0..16)
-        .map(|i| engine.submit("main", arg(1 + i % 5)))
+        .map(|i| engine.submit("main", arg(1 + i % 5), None))
         .collect();
     for t in warm {
         t.wait().unwrap().result.unwrap();
@@ -148,7 +148,7 @@ fn expired_requests_release_storage_to_idle_baseline() {
     // tensors or allocated on their behalf.
     let past = Instant::now() - Duration::from_millis(1);
     let flood: Vec<_> = (0..200)
-        .map(|i| engine.submit_with_deadline("main", arg(1 + i % 7), past))
+        .map(|i| engine.submit("main", arg(1 + i % 7), Some(past)))
         .collect();
     let mut expired = 0;
     for t in flood {

@@ -59,7 +59,7 @@ proptest! {
             EngineConfig { workers, queue_capacity, max_batch },
         ).unwrap();
         let tickets: Vec<_> = (0..requests as u32)
-            .map(|tag| (tag, engine.submit("main", tag_input(tag))))
+            .map(|tag| (tag, engine.submit("main", tag_input(tag), None)))
             .collect();
         for (tag, ticket) in tickets {
             let done = ticket.wait().unwrap();
@@ -91,7 +91,7 @@ proptest! {
                         let tag = (s * 1000 + r) as u32;
                         // submit() blocks on a full queue: backpressure is
                         // part of the arrival-order nondeterminism here.
-                        let done = engine.submit("main", tag_input(tag)).wait().unwrap();
+                        let done = engine.submit("main", tag_input(tag), None).wait().unwrap();
                         let out = done.result.unwrap().wait_tensor().unwrap();
                         check_tag(tag, &out);
                     }

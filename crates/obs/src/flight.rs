@@ -4,7 +4,8 @@
 //! In `NIMBLE_TRACE=tail[:p99_mult]` mode every admitted request gets a
 //! bounded span buffer registered at [`crate::start_trace`] time; span
 //! records for that trace are routed here instead of the per-thread
-//! rings. When the request reaches its terminal state the serving layer
+//! rings. When the request reaches its terminal state the layer that
+//! started the trace (the router, or the engine for a direct submission)
 //! calls [`finish`], which renders the retention verdict:
 //!
 //! | verdict        | trigger                                              |
@@ -519,19 +520,16 @@ pub struct Verdict {
     pub reasons: String,
 }
 
-/// Render the retention verdict for a finished request and either retain
-/// its buffer into the per-model ring or free it. Call exactly once, at
-/// the single point where the terminal outcome is known. `ok` is true
-/// only for a Completed-with-result terminal. Returns the verdict when
-/// retained (for exemplar stamping), `None` when dropped.
-pub fn finish(ctx: crate::SpanContext, model: &str, latency_ns: u64, ok: bool) -> Option<Verdict> {
+/// The terminal prologue shared by [`finish`] and [`finish_shed`]: remove
+/// the trace's buffer from the in-flight map, publish this thread's
+/// staged spans (the terminal root span was just recorded on it), and
+/// drop the cache entry so no further spans route into the finished
+/// buffer from here. `None` when the trace has no buffer.
+fn take_buf(ctx: crate::SpanContext) -> Option<Arc<RequestBuf>> {
     if !ctx.is_sampled() {
         return None;
     }
     let buf = shard_for(ctx.trace).lock().unwrap().remove(&ctx.trace);
-    // Publish this thread's staged spans (the terminal root span was just
-    // recorded on it) and drop the cache entry so no further spans route
-    // into the finished buffer from here.
     BUF_CACHE.with(|cache| {
         let mut cache = cache.borrow_mut();
         if cache.trace == ctx.trace {
@@ -542,7 +540,16 @@ pub fn finish(ctx: crate::SpanContext, model: &str, latency_ns: u64, ok: bool) -
             cache.trace = 0;
         }
     });
-    let buf = buf?;
+    buf
+}
+
+/// Render the retention verdict for a finished request and either retain
+/// its buffer into the per-model ring or free it. Call exactly once, at
+/// the single point where the terminal outcome is known. `ok` is true
+/// only for a Completed-with-result terminal. Returns the verdict when
+/// retained (for exemplar stamping), `None` when dropped.
+pub fn finish(ctx: crate::SpanContext, model: &str, latency_ns: u64, ok: bool) -> Option<Verdict> {
+    let buf = take_buf(ctx)?;
 
     // Threshold from the window *before* this sample, then roll it in.
     let threshold = {
@@ -606,20 +613,7 @@ pub fn finish(ctx: crate::SpanContext, model: &str, latency_ns: u64, ok: bool) -
 /// the trace has only its root span, the outcome is by definition
 /// non-Completed, and the latency does not join the rolling window.
 pub fn finish_shed(ctx: crate::SpanContext, model: &str, reason: &'static str) -> Option<Verdict> {
-    if !ctx.is_sampled() {
-        return None;
-    }
-    let buf = shard_for(ctx.trace).lock().unwrap().remove(&ctx.trace)?;
-    BUF_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if cache.trace == ctx.trace {
-            let Cache { buf, staging, .. } = &mut *cache;
-            if let Some(b) = buf.take() {
-                flush_into(&b, staging);
-            }
-            cache.trace = 0;
-        }
-    });
+    let buf = take_buf(ctx)?;
     let verdict = Verdict {
         trace: ctx.trace,
         reasons: reason.to_string(),

@@ -25,10 +25,8 @@
 //! [`RegistryConfig::specialize`]): a
 //! hot-shape cache that observes the concrete values requests bind to
 //! `Any` dims, tunes shape-concretized kernels off the request path, and
-//! installs them behind a bitwise-identity gate. The replica picker's
-//! tie-break prefers replicas recently warm for a request's concrete
-//! shape, and the router exports the specializer's counters as
-//! `nimble_specialize_*` families.
+//! installs them behind a bitwise-identity gate. The router exports the
+//! specializer's counters as `nimble_specialize_*` families.
 
 pub mod chaos;
 pub mod debug;
@@ -46,10 +44,9 @@ pub use nimble_specialize::{
 pub use registry::{ModelEntry, ModelRegistry, RegisterReport, RegistryConfig};
 pub use router::{Rejected, Router, RouterConfig, ServeTicket};
 pub use shard::{
-    AutoscalerConfig, ReplicaStats, ScaleDecision, ShardConfig, ShardEvent, ShardOutcome, ShardSet,
-    ShardStats, ShardTicket, WarmthProbe,
+    AutoscalerConfig, ReplicaStats, ScaleDecision, ShardConfig, ShardEvent, ShardSet, ShardStats,
 };
-pub use slo::{BurnRateTracker, SloConfig, SloState, SloWatchdog, Transition};
+pub use slo::{BurnRateTracker, SloConfig, SloState, Transition};
 pub use telemetry::{LiveStats, ModelStats, ModelTelemetry, ServeStats, Telemetry};
 
 /// Errors raised by the registry (compile/load/IO failures and unknown

@@ -389,8 +389,7 @@ impl ModelRegistry {
             .map_err(|e| ServeError::Compile(e.to_string()))?,
         );
         // Attach the shape specializer (no-op when disabled by config or
-        // env, or when the program has no dense anchors) and let the
-        // replica picker consult it for shape-warm admission.
+        // when the program has no dense anchors).
         let spec = self
             .config
             .specialize
@@ -398,8 +397,6 @@ impl ModelRegistry {
             .and_then(|cfg| ModelSpecializer::attach(&vm, cfg.clone()));
         if let Some(s) = &spec {
             s.set_label(name);
-            let probe = Arc::clone(s);
-            shards.set_warmth_probe(Arc::new(move |rows| probe.is_warm(rows)));
         }
         shards.set_label(name);
         let entry = Arc::new(ModelEntry {
@@ -600,7 +597,7 @@ mod tests {
         // silence.
         let late = v1
             .engine()
-            .submit("main", vec![Object::tensor(Tensor::ones_f32(&[2]))]);
+            .submit("main", vec![Object::tensor(Tensor::ones_f32(&[2]))], None);
         assert!(late.wait().is_err());
     }
 

@@ -12,16 +12,20 @@
 //! accepted-request tail latency bounded: the queue cannot grow beyond
 //! its capacity and cannot hold work nobody is waiting for.
 //!
-//! Every admission and every terminal outcome is counted in the
-//! per-model [`Telemetry`], so `accepted == completed + failed + expired`
-//! (+ `lost`, which stays 0 in a healthy server) holds at quiesce — the
-//! invariant the router tests and the `serve_mix` smoke gate assert.
+//! The router owns each request from admission to verdict: the deadline
+//! check, placement (through the model's [`ShardSet`]), requeue after a
+//! replica death, and the one terminal that books the outcome. Every
+//! admission and every terminal outcome is counted in the per-model
+//! [`Telemetry`], so `accepted == completed + failed + expired` (+ `lost`,
+//! which stays 0 in a healthy server) holds at quiesce — the invariant
+//! the router tests and the `serve_mix` smoke gate assert.
 
 use crate::registry::ModelRegistry;
+use crate::shard::ShardSet;
 use crate::telemetry::{
     as_ns, bump, render_metrics, LiveStats, ModelTelemetry, ServeStats, Telemetry,
 };
-use nimble_core::{Completion, EngineError};
+use nimble_core::{Completion, EngineError, Outcome, Ticket};
 use nimble_device::DeviceId;
 use nimble_obs::export::{register_collector, CollectorHandle};
 use nimble_obs::{Category as ObsCat, SpanContext};
@@ -30,6 +34,13 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The entry point every routed request runs.
+const ENTRY: &str = "main";
+
+/// How many times a request orphaned by replica deaths is re-admitted
+/// before resolving as an explicit failure.
+const MAX_REQUEUES: u32 = 4;
 
 /// Why the router refused (or gave up on) a request. Always explicit —
 /// a submission never disappears without one of these or a
@@ -72,33 +83,36 @@ pub struct RouterConfig {
     /// which is what deterministic harnesses want. Scale decisions land
     /// in the shard lifecycle counters (`nimble_shard_events_total`).
     pub autoscale_interval: Option<Duration>,
-    /// When set, spawns the [`crate::slo::SloWatchdog`] thread computing
-    /// multi-window burn rates from this router's telemetry. `None` (the
+    /// When set, spawns a watchdog thread computing multi-window SLO burn
+    /// rates from this router's telemetry (see [`crate::slo`]). `None` (the
     /// default) spawns no thread.
     pub slo: Option<crate::slo::SloConfig>,
 }
 
-/// Background autoscaler: ticks every live model's replica set on a fixed
-/// cadence. Holds only a weak registry reference, so it never keeps
-/// models alive; stops (and joins) when dropped with the router.
-struct AutoscaleDriver {
+/// A named background thread that calls `tick` every `interval` until it
+/// is dropped or `tick` returns `false` (its weak reference is gone).
+/// Dropping it stops and joins the thread, which drops `tick` on the way
+/// out.
+pub(crate) struct Cadence {
     stop: Arc<AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
-impl AutoscaleDriver {
-    fn spawn(registry: &Arc<ModelRegistry>, interval: Duration) -> AutoscaleDriver {
+impl Cadence {
+    pub(crate) fn spawn(
+        name: &str,
+        interval: Duration,
+        mut tick: impl FnMut() -> bool + Send + 'static,
+    ) -> Cadence {
         let stop = Arc::new(AtomicBool::new(false));
-        let registry = Arc::downgrade(registry);
         let flag = Arc::clone(&stop);
+        let interval = interval.max(Duration::from_millis(1));
         let handle = std::thread::Builder::new()
-            .name("nimble-autoscale".to_string())
+            .name(name.to_string())
             .spawn(move || {
                 // Wake at a fraction of the interval so a stop request is
                 // honored promptly even with a long cadence.
-                let nap = interval
-                    .min(Duration::from_millis(50))
-                    .max(Duration::from_millis(1));
+                let nap = interval.min(Duration::from_millis(50));
                 let mut next = Instant::now() + interval;
                 while !flag.load(Ordering::Acquire) {
                     if Instant::now() < next {
@@ -106,24 +120,21 @@ impl AutoscaleDriver {
                         continue;
                     }
                     next = Instant::now() + interval;
-                    let Some(registry) = registry.upgrade() else {
+                    if !tick() {
                         return;
-                    };
-                    for (name, _) in registry.list() {
-                        if let Some(entry) = registry.get(&name) {
-                            entry.shards().autoscale_tick();
-                        }
                     }
                 }
             })
-            .expect("spawn autoscaler thread");
-        AutoscaleDriver {
+            .expect("spawn cadence thread");
+        Cadence {
             stop,
             handle: Some(handle),
         }
     }
+}
 
-    fn stop(&mut self) {
+impl Drop for Cadence {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::Release);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
@@ -131,22 +142,26 @@ impl AutoscaleDriver {
     }
 }
 
-impl Drop for AutoscaleDriver {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
 /// Handle to one admitted request; resolves to a [`Completion`] or a
-/// terminal [`Rejected`]. Waiting records the outcome in the model's
-/// telemetry exactly once.
+/// terminal [`Rejected`]. Waiting absorbs replica deaths and records the
+/// outcome exactly once.
 #[derive(Debug)]
 pub struct ServeTicket {
-    ticket: crate::shard::ShardTicket,
+    ticket: Ticket,
+    shards: Arc<ShardSet>,
+    /// Retained for re-admission after a replica death.
+    args: Vec<Object>,
+    deadline: Option<Instant>,
+    life: Lifecycle,
+}
+
+/// What the router keeps about a request from admission to verdict.
+#[derive(Debug)]
+struct Lifecycle {
     telemetry: Arc<ModelTelemetry>,
     model: String,
     /// Trace context assigned at admission; the serve root span is
-    /// recorded when the request reaches its terminal state.
+    /// recorded at the terminal.
     ctx: SpanContext,
     admitted_ns: u64,
     root_name: &'static str,
@@ -155,68 +170,125 @@ pub struct ServeTicket {
 impl ServeTicket {
     /// The model this request was admitted to.
     pub fn model(&self) -> &str {
-        &self.model
+        &self.life.model
     }
 
     /// Block until the request reaches its terminal state. A replica
-    /// dying while holding the request is absorbed here: the shard layer
-    /// requeues it onto a survivor (counted in `requeued`), and only when
-    /// every requeue finds the replicas dead does the request fail —
-    /// explicitly, as `failed`/`replica_deaths`, never `lost`.
+    /// dying while holding the request is absorbed here: the request is
+    /// requeued onto a survivor (counted in `requeued`), and only when
+    /// every requeue finds the replicas dead does it fail — explicitly,
+    /// as `failed`/`replica_deaths`, never `lost`.
     ///
     /// # Errors
     /// [`Rejected::Expired`] when the deadline passed while queued;
     /// [`Rejected::Unloaded`] when the request could not survive replica
     /// deaths (no live replica left to requeue onto).
     pub fn wait(self) -> Result<Completion, Rejected> {
-        let outcome = self.ticket.wait();
-        self.telemetry.record_requeued(u64::from(outcome.requeues));
-        let mut queued_ns: Option<u64> = None;
-        let (result, outcome_code) = match outcome.result {
-            Ok(completion) => {
-                let ok = completion.result.is_ok();
-                queued_ns = Some(as_ns(completion.queued));
-                self.telemetry.record_completed(
-                    ok,
-                    completion.queued,
-                    completion.latency,
-                    completion.batch_size,
-                );
-                (Ok(completion), if ok { 0 } else { 1 })
-            }
-            Err(EngineError::Expired) => {
-                bump(&self.telemetry.expired);
-                (Err(Rejected::Expired), 2)
-            }
-            Err(_) => {
-                self.telemetry.record_replica_death();
-                (Err(Rejected::Unloaded), 3)
+        let ServeTicket {
+            mut ticket,
+            shards,
+            args,
+            deadline,
+            life,
+        } = self;
+        let mut requeues = 0;
+        let result = loop {
+            match ticket.wait() {
+                Err(EngineError::Closed) if requeues < MAX_REQUEUES => {
+                    // Re-admit under the request's own trace.
+                    let _g = nimble_obs::enter(life.ctx);
+                    match shards.requeue(ENTRY, &args, deadline) {
+                        Ok((t, _)) => {
+                            ticket = t;
+                            requeues += 1;
+                        }
+                        Err(_) => break Err(EngineError::Closed),
+                    }
+                }
+                result => break result,
             }
         };
-        if self.ctx.is_sampled() {
-            let end_ns = nimble_obs::now_ns();
-            // The root span must land before the flight verdict so a
-            // retained trace includes it.
-            nimble_obs::record_root(
-                self.ctx,
-                self.root_name,
-                ObsCat::Serve,
-                self.admitted_ns,
-                end_ns,
-                outcome_code,
-            );
-            if outcome.requeues > 0 {
-                nimble_obs::flight::pin(self.ctx, nimble_obs::flight::PIN_REQUEUED);
+        drop(args);
+        life.conclude(result, Some(requeues))
+    }
+}
+
+impl Lifecycle {
+    /// The one terminal of a routed request — shed at admission
+    /// (`requeues` is `None`) or resolved by [`ServeTicket::wait`]: books
+    /// the telemetry bucket, records the serve root span carrying the
+    /// request's [`Outcome`], and renders the flight verdict.
+    fn conclude(
+        self,
+        result: Result<Completion, EngineError>,
+        requeues: Option<u32>,
+    ) -> Result<Completion, Rejected> {
+        let t = &self.telemetry;
+        let (outcome, verdict) = match result {
+            Ok(c) => {
+                let ok = c.result.is_ok();
+                t.record_completed(ok, c.queued, c.latency, c.batch_size);
+                let outcome = if ok {
+                    Outcome::Completed
+                } else {
+                    Outcome::Failed
+                };
+                (outcome, Ok(c))
             }
-            let latency_ns = end_ns.saturating_sub(self.admitted_ns);
-            if let Some(verdict) =
-                nimble_obs::flight::finish(self.ctx, &self.model, latency_ns, outcome_code == 0)
-            {
-                self.telemetry
-                    .record_exemplar(latency_ns, queued_ns, verdict.trace);
+            Err(EngineError::Expired) => {
+                bump(&t.expired);
+                (Outcome::Expired, Err(Rejected::Expired))
             }
+            // Never admitted: the queue was full, or the entry's replicas
+            // drained between lookup and admission (hot-swap or unload
+            // race), which answers like not-loaded.
+            Err(e) if requeues.is_none() => {
+                let (counter, rejected) = match e {
+                    EngineError::Busy => (&t.rejected_queue_full, Rejected::QueueFull),
+                    _ => (&t.rejected_unloaded, Rejected::Unloaded),
+                };
+                bump(counter);
+                (Outcome::Shed, Err(rejected))
+            }
+            Err(_) => {
+                t.record_replica_death();
+                (Outcome::ReplicaDeath, Err(Rejected::Unloaded))
+            }
+        };
+        let requeues = requeues.unwrap_or(0);
+        t.record_requeued(u64::from(requeues));
+        if !self.ctx.is_sampled() {
+            return verdict;
         }
-        result
+        let end_ns = nimble_obs::now_ns();
+        // The root span must land before the flight verdict so a retained
+        // trace includes it.
+        nimble_obs::record_root(
+            self.ctx,
+            self.root_name,
+            ObsCat::Serve,
+            self.admitted_ns,
+            end_ns,
+            outcome as u64,
+        );
+        if outcome == Outcome::Shed {
+            let reason = match verdict {
+                Err(Rejected::QueueFull) => "shed_queue_full",
+                _ => "shed_unloaded",
+            };
+            nimble_obs::flight::finish_shed(self.ctx, &self.model, reason);
+            return verdict;
+        }
+        if requeues > 0 {
+            nimble_obs::flight::pin(self.ctx, nimble_obs::flight::PIN_REQUEUED);
+        }
+        let latency_ns = end_ns.saturating_sub(self.admitted_ns);
+        let ok = outcome == Outcome::Completed;
+        if let Some(v) = nimble_obs::flight::finish(self.ctx, &self.model, latency_ns, ok) {
+            let queued_ns = verdict.as_ref().ok().map(|c| as_ns(c.queued));
+            t.record_exemplar(latency_ns, queued_ns, v.trace);
+        }
+        verdict
     }
 }
 
@@ -229,12 +301,13 @@ pub struct Router {
     /// Keeps this router's Prometheus collector registered with
     /// `nimble_obs::export`; dropping the router retires it.
     _collector: CollectorHandle,
-    /// Background autoscaler (when `autoscale_interval` is set); stopped
-    /// and joined on shutdown/drop.
-    autoscaler: std::sync::Mutex<Option<AutoscaleDriver>>,
+    /// Background autoscaler (when `autoscale_interval` is set): ticks
+    /// every live model's replica set. Holds only a weak registry
+    /// reference; stopped and joined on shutdown/drop.
+    autoscaler: std::sync::Mutex<Option<Cadence>>,
     /// SLO burn-rate watchdog (when `config.slo` is set); stopped and
     /// joined on shutdown/drop.
-    slo: std::sync::Mutex<Option<crate::slo::SloWatchdog>>,
+    slo: std::sync::Mutex<Option<Cadence>>,
 }
 
 impl std::fmt::Debug for Router {
@@ -262,9 +335,20 @@ impl Router {
                 }
             })
         };
-        let autoscaler = config
-            .autoscale_interval
-            .map(|i| AutoscaleDriver::spawn(&registry, i));
+        let autoscaler = config.autoscale_interval.map(|interval| {
+            let registry = Arc::downgrade(&registry);
+            Cadence::spawn("nimble-autoscale", interval, move || {
+                let Some(registry) = registry.upgrade() else {
+                    return false;
+                };
+                for (name, _) in registry.list() {
+                    if let Some(entry) = registry.get(&name) {
+                        entry.shards().autoscale_tick();
+                    }
+                }
+                true
+            })
+        });
         let slo = config
             .slo
             .clone()
@@ -338,46 +422,27 @@ impl Router {
         } else {
             (0, "")
         };
-        let _g = nimble_obs::enter(ctx);
-        let admitted = entry.shards().submit("main", args, deadline);
-        let rejected = |arg: u64| {
-            if ctx.is_sampled() {
-                nimble_obs::record_root(
-                    ctx,
-                    root_name,
-                    ObsCat::Serve,
-                    admitted_ns,
-                    nimble_obs::now_ns(),
-                    arg,
-                );
-            }
+        let life = Lifecycle {
+            telemetry,
+            model: model.to_string(),
+            ctx,
+            admitted_ns,
+            root_name,
         };
-        match admitted {
-            Ok(ticket) => {
-                bump(&telemetry.accepted);
+        let _g = nimble_obs::enter(ctx);
+        let shards = Arc::clone(entry.shards());
+        match shards.submit(ENTRY, &args, deadline) {
+            Ok((ticket, _)) => {
+                bump(&life.telemetry.accepted);
                 Ok(ServeTicket {
                     ticket,
-                    telemetry,
-                    model: model.to_string(),
-                    ctx,
-                    admitted_ns,
-                    root_name,
+                    shards,
+                    args,
+                    deadline,
+                    life,
                 })
             }
-            Err(EngineError::Busy) => {
-                bump(&telemetry.rejected_queue_full);
-                rejected(4);
-                nimble_obs::flight::finish_shed(ctx, model, "shed_queue_full");
-                Err(Rejected::QueueFull)
-            }
-            // The entry's engine drained between `get` and admission
-            // (hot-swap or unload race): same answer as not-loaded.
-            Err(_) => {
-                bump(&telemetry.rejected_unloaded);
-                rejected(4);
-                nimble_obs::flight::finish_shed(ctx, model, "shed_unloaded");
-                Err(Rejected::Unloaded)
-            }
+            Err(e) => Err(life.conclude(Err(e), None).unwrap_err()),
         }
     }
 
@@ -411,12 +476,8 @@ impl Router {
         self.draining.store(true, Ordering::Release);
         // Stop (and join) the autoscaler before draining, so no scale
         // decision races the drain.
-        if let Some(mut driver) = self.autoscaler.lock().unwrap().take() {
-            driver.stop();
-        }
-        if let Some(mut watchdog) = self.slo.lock().unwrap().take() {
-            watchdog.stop();
-        }
+        drop(self.autoscaler.lock().unwrap().take());
+        drop(self.slo.lock().unwrap().take());
         self.registry.shutdown();
     }
 }

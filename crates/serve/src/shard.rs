@@ -18,17 +18,20 @@
 //! * [`ShardSet::retire`] drains one gracefully (queued work completes)
 //!   — the same hot-swap retirement path the registry uses;
 //! * [`ShardSet::kill`] is the chaos primitive: the replica dies holding
-//!   its queue, queued tickets resolve [`EngineError::Closed`], and
-//!   [`ShardTicket::wait`] *requeues* them onto a surviving replica —
-//!   a request is failed only when no replica is left to take it, and is
-//!   never silently lost.
+//!   its queue, queued tickets resolve [`EngineError::Closed`], and the
+//!   router's [`crate::ServeTicket`] *requeues* them onto a surviving
+//!   replica — a request is failed only when no replica is left to take
+//!   it, and is never silently lost.
+//!
+//! The set only places requests: what happens to one after admission is
+//! the router's business.
 //!
 //! Every lifecycle transition lands in an event log ([`ShardEvent`]) and
 //! the per-replica accepted counters survive retirement inside those
 //! events, so `Σ replica accepted == shard accepted + requeues` is
 //! checkable at any quiesce point (the `shard_props` property test does).
 
-use nimble_core::{Completion, Engine, EngineConfig, EngineError, EngineStats};
+use nimble_core::{Engine, EngineConfig, EngineError, EngineStats, Ticket};
 use nimble_obs::events::{emit, FieldVal};
 use nimble_vm::{ArenaStats, BatchPlan, Object, ProfileReport, VirtualMachine};
 use std::collections::BTreeSet;
@@ -214,16 +217,6 @@ struct ScalerState {
     last_completed: u64,
 }
 
-/// How many times a ticket orphaned by replica deaths is re-admitted
-/// before resolving as an explicit failure.
-const MAX_REQUEUES: u32 = 4;
-
-/// Shared shape-warmth oracle: `probe(rows)` answers whether the model's
-/// specializer holds an installed (Ready) kernel for requests with that
-/// concrete leading-dimension product. Installed by the registry when the
-/// specialization subsystem is enabled.
-pub type WarmthProbe = Arc<dyn Fn(usize) -> bool + Send + Sync>;
-
 /// N engine replicas over one shared loaded program, behind
 /// power-of-two-choices admission.
 pub struct ShardSet {
@@ -241,9 +234,6 @@ pub struct ShardSet {
     accepted: AtomicU64,
     requeued: AtomicU64,
     scaler: Mutex<ScalerState>,
-    /// Optional shape-warmth oracle (see [`WarmthProbe`]); `None` keeps
-    /// admission byte-identical to the pre-specialization picker.
-    warmth: RwLock<Option<WarmthProbe>>,
     /// Model name for structured lifecycle events (set by the registry at
     /// install; empty until then).
     label: RwLock<String>,
@@ -263,8 +253,7 @@ impl std::fmt::Debug for ShardSet {
 }
 
 /// Concrete leading-dimension product ("rows") of the first tensor
-/// argument — the same shape key the specializer observes on dispatch.
-/// `None` when the first argument is not a tensor or is rank 0.
+/// argument. `None` when the first argument is not a tensor or is rank 0.
 fn rows_key(args: &[Object]) -> Option<usize> {
     let dims = args.first()?.tensor_shape().ok()?;
     if dims.is_empty() {
@@ -319,7 +308,6 @@ impl ShardSet {
             accepted: AtomicU64::new(0),
             requeued: AtomicU64::new(0),
             scaler: Mutex::new(ScalerState::default()),
-            warmth: RwLock::new(None),
             label: RwLock::new(String::new()),
             seen_shapes: Mutex::new(BTreeSet::new()),
         };
@@ -332,13 +320,6 @@ impl ShardSet {
     /// The shared loaded program.
     pub fn vm(&self) -> &Arc<VirtualMachine> {
         &self.vm
-    }
-
-    /// Install the shape-warmth oracle the replica picker consults
-    /// (registry wiring, at model install time). Admission reads the
-    /// probe per request, so installing after traffic starts is safe.
-    pub fn set_warmth_probe(&self, probe: WarmthProbe) {
-        *self.warmth.write().unwrap() = Some(probe);
     }
 
     /// Name this set's structured lifecycle events with its model
@@ -410,8 +391,8 @@ impl ShardSet {
     }
 
     /// Kill replica `id` abruptly — the chaos "replica dies" primitive.
-    /// Its queued requests resolve [`EngineError::Closed`] and their
-    /// [`ShardTicket`]s requeue onto survivors. Ignores `min_replicas`
+    /// Its queued requests resolve [`EngineError::Closed`] and the router
+    /// requeues them onto survivors. Ignores `min_replicas`
     /// (chaos does not ask permission); returns `false` when `id` is not
     /// live.
     pub fn kill(&self, id: u64) -> bool {
@@ -500,18 +481,19 @@ impl ShardSet {
             .cloned()
     }
 
-    /// Admit a request to the least-loaded of two sampled replicas.
+    /// Admit a request to the least-loaded of two sampled replicas;
+    /// returns the engine ticket and the admitting replica's id.
     ///
     /// # Errors
     /// [`EngineError::Busy`] when both probed queues are full,
     /// [`EngineError::Closed`] when no replica is live.
     pub fn submit(
-        self: &Arc<Self>,
+        &self,
         function: &str,
-        args: Vec<Object>,
+        args: &[Object],
         deadline: Option<Instant>,
-    ) -> Result<ShardTicket, EngineError> {
-        let (ticket, replica) = self.admit(function, &args, deadline)?;
+    ) -> Result<(Ticket, u64), EngineError> {
+        let admitted = self.admit(function, args, deadline)?;
         self.accepted.fetch_add(1, Ordering::Relaxed);
         // First sight of a concrete shape key is always interesting: pin
         // the admitting request's flight buffer so the trace that
@@ -520,21 +502,26 @@ impl ShardSet {
         // hashes no key and takes no lock.
         let ctx = nimble_obs::current();
         if ctx.is_sampled() {
-            if let Some(rows) = rows_key(&args) {
+            if let Some(rows) = rows_key(args) {
                 if self.seen_shapes.lock().unwrap().insert(rows as u64) {
                     nimble_obs::flight::pin(ctx, nimble_obs::flight::PIN_NEW_SHAPE);
                 }
             }
         }
-        Ok(ShardTicket {
-            set: Arc::clone(self),
-            ticket,
-            replica,
-            function: function.to_string(),
-            args,
-            deadline,
-            requeues: 0,
-        })
+        Ok(admitted)
+    }
+
+    /// Re-admit a request orphaned by a replica death (counted in
+    /// [`ShardStats::requeued`], not `accepted`).
+    pub(crate) fn requeue(
+        &self,
+        function: &str,
+        args: &[Object],
+        deadline: Option<Instant>,
+    ) -> Result<(Ticket, u64), EngineError> {
+        let admitted = self.admit(function, args, deadline)?;
+        self.requeued.fetch_add(1, Ordering::Relaxed);
+        Ok(admitted)
     }
 
     /// One admission attempt: P2C pick, then try the shallower queue and
@@ -545,7 +532,7 @@ impl ShardSet {
         function: &str,
         args: &[Object],
         deadline: Option<Instant>,
-    ) -> Result<(nimble_core::Ticket, u64), EngineError> {
+    ) -> Result<(Ticket, u64), EngineError> {
         let live: Vec<Arc<Replica>> = self.replicas.read().unwrap().clone();
         if live.is_empty() {
             return Err(EngineError::Closed);
@@ -557,39 +544,17 @@ impl ShardSet {
             .as_ref()
             .filter(|p| p.function == function)
             .and_then(|p| p.bucket_of(args));
-        // Shape-warmth hint: `key` is the request's concrete shape key
-        // (noted on the admitting replica), `warm` is set only when the
-        // model's specializer holds an installed kernel for that shape —
-        // then equal-depth ties prefer replicas that served it recently
-        // (their worker arenas are sized for it).
-        let (key, warm) = {
-            let probe = self.warmth.read().unwrap();
-            match (probe.as_ref(), rows_key(args)) {
-                (Some(p), Some(rows)) => (Some(rows as u64), p(rows).then_some(rows as u64)),
-                _ => (None, None),
-            }
-        };
         // A dead pick retries; bound by the snapshot size.
         for _ in 0..=live.len() {
-            let (first, second) = self.pick_two(&live, bucket, warm);
+            let (first, second) = self.pick_two(&live, bucket);
             match self.try_replica(&first, function, args, deadline) {
-                Ok(t) => {
-                    if let Some(k) = key {
-                        first.engine.note_warm_shape(k);
-                    }
-                    return Ok((t, first.id));
-                }
+                Ok(t) => return Ok((t, first.id)),
                 Err(EngineError::Busy) => {
                     let Some(second) = second else {
                         return Err(EngineError::Busy);
                     };
                     match self.try_replica(&second, function, args, deadline) {
-                        Ok(t) => {
-                            if let Some(k) = key {
-                                second.engine.note_warm_shape(k);
-                            }
-                            return Ok((t, second.id));
-                        }
+                        Ok(t) => return Ok((t, second.id)),
                         Err(EngineError::Busy) => return Err(EngineError::Busy),
                         Err(_) => continue,
                     }
@@ -600,18 +565,15 @@ impl ShardSet {
         Err(EngineError::Closed)
     }
 
-    /// Power-of-two-choices with shape-aware tie-breaks: the shallower of
-    /// two RNG-sampled distinct replicas first; at equal depth, prefer
+    /// Power-of-two-choices with a shape-aware tie-break: the shallower
+    /// of two RNG-sampled distinct replicas first; at equal depth, prefer
     /// the replica whose last-formed batch bucket matches the incoming
-    /// request's bucket (its next batch pads less and forms faster),
-    /// then — when the specializer holds an installed kernel for the
-    /// request's concrete shape — the replica that recently served that
-    /// shape, then the lower id. The other replica stays as fallback.
+    /// request's bucket (its next batch pads less and forms faster), then
+    /// the lower id. The other replica stays as fallback.
     fn pick_two(
         &self,
         live: &[Arc<Replica>],
         bucket: Option<usize>,
-        warm: Option<u64>,
     ) -> (Arc<Replica>, Option<Arc<Replica>>) {
         let n = live.len();
         if n == 1 {
@@ -626,22 +588,11 @@ impl ShardSet {
             }
             (Arc::clone(&live[i]), Arc::clone(&live[j]))
         };
-        let affinity_miss =
-            |r: &Replica| u8::from(bucket.is_none() || r.engine.last_formed_bucket() != bucket);
-        let warm_miss = |r: &Replica| u8::from(warm.is_none_or(|k| !r.engine.has_warm_shape(k)));
-        let da = (
-            a.engine.queue_depth(),
-            affinity_miss(&a),
-            warm_miss(&a),
-            a.id,
-        );
-        let db = (
-            b.engine.queue_depth(),
-            affinity_miss(&b),
-            warm_miss(&b),
-            b.id,
-        );
-        if da <= db {
+        let rank = |r: &Replica| {
+            let affinity_miss = bucket.is_none() || r.engine.last_formed_bucket() != bucket;
+            (r.engine.queue_depth(), affinity_miss, r.id)
+        };
+        if rank(&a) <= rank(&b) {
             (a, Some(b))
         } else {
             (b, Some(a))
@@ -654,27 +605,12 @@ impl ShardSet {
         function: &str,
         args: &[Object],
         deadline: Option<Instant>,
-    ) -> Result<nimble_core::Ticket, EngineError> {
-        let ticket = match deadline {
-            Some(d) => replica
-                .engine
-                .try_submit_with_deadline(function, args.to_vec(), d)?,
-            None => replica.engine.try_submit(function, args.to_vec())?,
-        };
+    ) -> Result<Ticket, EngineError> {
+        let ticket = replica
+            .engine
+            .try_submit(function, args.to_vec(), deadline)?;
         replica.accepted.fetch_add(1, Ordering::Relaxed);
         Ok(ticket)
-    }
-
-    /// Re-admit a ticket orphaned by a replica death.
-    fn requeue(
-        &self,
-        function: &str,
-        args: &[Object],
-        deadline: Option<Instant>,
-    ) -> Result<(nimble_core::Ticket, u64), EngineError> {
-        let out = self.admit(function, args, deadline)?;
-        self.requeued.fetch_add(1, Ordering::Relaxed);
-        Ok(out)
     }
 
     /// One autoscaler step, driven by the owner (a serving loop, or the
@@ -826,94 +762,6 @@ impl ShardSet {
     }
 }
 
-/// Outcome of one sharded request: the engine result plus which replica
-/// finally served it and how many times it was requeued across replica
-/// deaths.
-#[derive(Debug)]
-pub struct ShardOutcome {
-    /// The terminal engine result.
-    pub result: Result<Completion, EngineError>,
-    /// Replica that produced the terminal outcome.
-    pub replica: u64,
-    /// Successful re-admissions this request went through.
-    pub requeues: u32,
-}
-
-/// Handle to one sharded request. [`ShardTicket::wait`] transparently
-/// requeues the request onto a surviving replica when the serving one is
-/// killed; the args are retained for exactly that.
-#[derive(Debug)]
-pub struct ShardTicket {
-    set: Arc<ShardSet>,
-    ticket: nimble_core::Ticket,
-    replica: u64,
-    function: String,
-    args: Vec<Object>,
-    deadline: Option<Instant>,
-    requeues: u32,
-}
-
-impl ShardTicket {
-    /// The replica currently holding the request.
-    pub fn replica(&self) -> u64 {
-        self.replica
-    }
-
-    /// Block until the request reaches a terminal state, requeuing across
-    /// replica deaths (bounded by [`MAX_REQUEUES`]). The result is always
-    /// explicit: a completion, `Expired`, or `Closed` when no replica
-    /// could take the request — never silence.
-    pub fn wait(self) -> ShardOutcome {
-        let ShardTicket {
-            set,
-            mut ticket,
-            mut replica,
-            function,
-            args,
-            deadline,
-            mut requeues,
-        } = self;
-        loop {
-            match ticket.wait() {
-                Ok(completion) => {
-                    return ShardOutcome {
-                        result: Ok(completion),
-                        replica,
-                        requeues,
-                    }
-                }
-                Err(EngineError::Expired) => {
-                    return ShardOutcome {
-                        result: Err(EngineError::Expired),
-                        replica,
-                        requeues,
-                    }
-                }
-                // The serving replica died with this request queued:
-                // requeue onto a survivor, or fail explicitly.
-                Err(_) => {
-                    if requeues >= MAX_REQUEUES {
-                        break;
-                    }
-                    match set.requeue(&function, &args, deadline) {
-                        Ok((t, r)) => {
-                            ticket = t;
-                            replica = r;
-                            requeues += 1;
-                        }
-                        Err(_) => break,
-                    }
-                }
-            }
-        }
-        ShardOutcome {
-            result: Err(EngineError::Closed),
-            replica,
-            requeues,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -942,28 +790,37 @@ mod tests {
         )]
     }
 
-    fn set_with(replicas: usize, engine: EngineConfig) -> Arc<ShardSet> {
-        Arc::new(
-            ShardSet::new(
-                add_one_vm(),
-                engine,
-                ShardConfig {
-                    replicas,
-                    max_replicas: 8,
-                    ..ShardConfig::default()
-                },
-            )
-            .unwrap(),
+    fn set_with(replicas: usize, engine: EngineConfig) -> ShardSet {
+        ShardSet::new(
+            add_one_vm(),
+            engine,
+            ShardConfig {
+                replicas,
+                max_replicas: 8,
+                ..ShardConfig::default()
+            },
         )
+        .unwrap()
+    }
+
+    /// Admit `n` requests tagged `0..n`; returns their engine tickets.
+    fn submit_n(set: &ShardSet, n: usize) -> Vec<Ticket> {
+        (0..n)
+            .map(|i| set.submit("main", &arg(i as f32), None).unwrap().0)
+            .collect()
+    }
+
+    /// The value a served `arg(v)` request answered with.
+    fn served(done: Result<nimble_core::Completion, EngineError>) -> f32 {
+        let out = done.unwrap().result.unwrap().wait_tensor().unwrap();
+        out.as_f32().unwrap()[0]
     }
 
     #[test]
     fn p2c_spreads_load_across_replicas() {
         let set = set_with(3, EngineConfig::with_workers(1));
         set.pause_all();
-        let tickets: Vec<ShardTicket> = (0..12)
-            .map(|i| set.submit("main", arg(i as f32), None).unwrap())
-            .collect();
+        let tickets = submit_n(&set, 12);
         // P2C on live depth: every replica of a paused 3-set sees some of
         // a 12-request burst (worst imbalance P2C allows here still gives
         // each at least one).
@@ -976,10 +833,7 @@ mod tests {
         assert_eq!(stats.replica_accepted_sum(), 12);
         set.resume_all();
         for (i, t) in tickets.into_iter().enumerate() {
-            let out = t.wait();
-            let tensor = out.result.unwrap().result.unwrap().wait_tensor().unwrap();
-            assert_eq!(tensor.as_f32().unwrap(), &[i as f32 + 1.0; 2]);
-            assert_eq!(out.requeues, 0);
+            assert_eq!(served(t.wait()), i as f32 + 1.0);
         }
     }
 
@@ -987,9 +841,7 @@ mod tests {
     fn kill_requeues_onto_survivor() {
         let set = set_with(2, EngineConfig::with_workers(1));
         set.pause_all();
-        let tickets: Vec<ShardTicket> = (0..6)
-            .map(|i| set.submit("main", arg(i as f32), None).unwrap())
-            .collect();
+        let tickets = submit_n(&set, 6);
         let victim = *set.replica_ids().last().unwrap();
         let orphaned = set
             .stats()
@@ -1001,14 +853,20 @@ mod tests {
         assert!(orphaned > 0, "victim held nothing — P2C should spread 6");
         assert!(set.kill(victim));
         set.resume_all();
-        let mut requeues = 0;
+        // Orphans resolve Closed; re-admitting each lands on the survivor.
+        let mut requeued = 0;
         for (i, t) in tickets.into_iter().enumerate() {
-            let out = t.wait();
-            let tensor = out.result.unwrap().result.unwrap().wait_tensor().unwrap();
-            assert_eq!(tensor.as_f32().unwrap(), &[i as f32 + 1.0; 2]);
-            requeues += u64::from(out.requeues);
+            match t.wait() {
+                Err(EngineError::Closed) => {
+                    requeued += 1;
+                    let (t, replica) = set.requeue("main", &arg(i as f32), None).unwrap();
+                    assert_ne!(replica, victim);
+                    assert_eq!(served(t.wait()), i as f32 + 1.0);
+                }
+                done => assert_eq!(served(done), i as f32 + 1.0),
+            }
         }
-        assert_eq!(requeues, orphaned, "every orphan requeued exactly once");
+        assert_eq!(requeued, orphaned, "every orphan answered Closed");
         let stats = set.stats();
         assert_eq!(stats.requeued, orphaned);
         assert_eq!(
@@ -1022,18 +880,19 @@ mod tests {
     fn kill_of_last_replica_fails_explicitly() {
         let set = set_with(1, EngineConfig::with_workers(1));
         set.pause_all();
-        let tickets: Vec<ShardTicket> = (0..4)
-            .map(|i| set.submit("main", arg(i as f32), None).unwrap())
-            .collect();
+        let tickets = submit_n(&set, 4);
         assert!(set.kill(set.replica_ids()[0]));
         assert!(set.is_empty());
         for t in tickets {
-            let out = t.wait();
-            assert_eq!(out.result.unwrap_err(), EngineError::Closed);
+            assert_eq!(t.wait().unwrap_err(), EngineError::Closed);
         }
         // New work on an empty set is refused, not queued into the void.
         assert!(matches!(
-            set.submit("main", arg(0.0), None),
+            set.submit("main", &arg(0.0), None),
+            Err(EngineError::Closed)
+        ));
+        assert!(matches!(
+            set.requeue("main", &arg(0.0), None),
             Err(EngineError::Closed)
         ));
     }
@@ -1042,19 +901,15 @@ mod tests {
     fn retire_drains_gracefully() {
         let set = set_with(2, EngineConfig::with_workers(1));
         set.pause_all();
-        let tickets: Vec<ShardTicket> = (0..6)
-            .map(|i| set.submit("main", arg(i as f32), None).unwrap())
-            .collect();
+        let tickets = submit_n(&set, 6);
         let victim = *set.replica_ids().last().unwrap();
         // Graceful retirement executes the backlog: resume the survivor,
         // retire the victim (its own drain un-pauses it), everything
-        // completes without a single requeue.
+        // completes on the replica that admitted it.
         set.resume_all();
         assert!(set.retire(victim));
-        for t in tickets {
-            let out = t.wait();
-            assert!(out.result.unwrap().result.is_ok());
-            assert_eq!(out.requeues, 0);
+        for (i, t) in tickets.into_iter().enumerate() {
+            assert_eq!(served(t.wait()), i as f32 + 1.0);
         }
         assert_eq!(set.len(), 1);
         // min_replicas floor holds.
@@ -1074,15 +929,13 @@ mod tests {
         );
         // Backlog above queue_high on the single replica.
         set.pause_all();
-        let tickets: Vec<ShardTicket> = (0..8)
-            .map(|i| set.submit("main", arg(i as f32), None).unwrap())
-            .collect();
+        let tickets = submit_n(&set, 8);
         assert_eq!(set.autoscale_tick(), Some(ScaleDecision::Up(1)));
         // Cooldown: still busy, but no immediate second event.
         assert_eq!(set.autoscale_tick(), None);
         set.resume_all();
-        for t in tickets {
-            assert!(t.wait().result.unwrap().result.is_ok());
+        for (i, t) in tickets.into_iter().enumerate() {
+            assert_eq!(served(t.wait()), i as f32 + 1.0);
         }
         // Idle hysteresis: the first post-drain tick still sees
         // completions, then idle_ticks (3) empty ticks must pass.
@@ -1141,46 +994,10 @@ mod tests {
                 r.engine.set_last_formed_bucket(2);
             }
         }
-        let t = set.submit("main", arg(1.0), None).unwrap();
-        assert_eq!(t.replica(), 1, "affinity hint ignored");
+        let (t, replica) = set.submit("main", &arg(1.0), None).unwrap();
+        assert_eq!(replica, 1, "affinity hint ignored");
         set.resume_all();
-        assert!(t.wait().result.unwrap().result.is_ok());
-    }
-
-    #[test]
-    fn warmth_tie_break_prefers_shape_warm_replica() {
-        let set = set_with(2, EngineConfig::with_workers(1));
-        // The probe says "rows=1 has an installed specialized kernel"
-        // (rank-1 [2] inputs key to a leading-dim product of 1).
-        set.set_warmth_probe(Arc::new(|rows| rows == 1));
-        set.pause_all();
-        // Mark the *higher*-id replica as having recently served the
-        // shape: at equal queue depth and no batch plan the plain
-        // tie-break would pick id 0, so landing on id 1 can only be the
-        // warmth hint.
-        for r in set.replicas.read().unwrap().iter() {
-            if r.id == 1 {
-                r.engine.note_warm_shape(1);
-            }
-        }
-        let t = set.submit("main", arg(1.0), None).unwrap();
-        assert_eq!(t.replica(), 1, "warmth hint ignored");
-        set.resume_all();
-        assert!(t.wait().result.unwrap().result.is_ok());
-        // A cold shape (probe says not installed) falls back to the plain
-        // lower-id tie-break even though the key was noted on replica 1.
-        let set = set_with(2, EngineConfig::with_workers(1));
-        set.set_warmth_probe(Arc::new(|_| false));
-        set.pause_all();
-        for r in set.replicas.read().unwrap().iter() {
-            if r.id == 1 {
-                r.engine.note_warm_shape(1);
-            }
-        }
-        let t = set.submit("main", arg(2.0), None).unwrap();
-        assert_eq!(t.replica(), 0, "cold shape must not steer admission");
-        set.resume_all();
-        assert!(t.wait().result.unwrap().result.is_ok());
+        assert_eq!(served(t.wait()), 2.0);
     }
 
     #[test]
@@ -1212,9 +1029,7 @@ mod tests {
         // Spike then hard drop, ticking the whole time: the event budget
         // and cooldown must bound lifecycle churn.
         set.pause_all();
-        let tickets: Vec<ShardTicket> = (0..16)
-            .map(|i| set.submit("main", arg(i as f32), None).unwrap())
-            .collect();
+        let tickets = submit_n(&set, 16);
         let mut events = 0;
         for _ in 0..4 {
             if set.autoscale_tick().is_some() {
@@ -1222,8 +1037,8 @@ mod tests {
             }
         }
         set.resume_all();
-        for t in tickets {
-            assert!(t.wait().result.unwrap().result.is_ok());
+        for (i, t) in tickets.into_iter().enumerate() {
+            assert_eq!(served(t.wait()), i as f32 + 1.0);
         }
         for _ in 0..8 {
             if set.autoscale_tick().is_some() {

@@ -17,17 +17,17 @@
 //! from flapping alert→clear→alert on every tick.
 //!
 //! [`BurnRateTracker`] is pure state-machine logic (proptested in
-//! `tests/slo_props.rs`); [`SloWatchdog`] is the cadence thread that
+//! `tests/slo_props.rs`); the watchdog is a cadence thread that
 //! feeds it from [`Telemetry`] snapshots, publishes each model's
 //! [`SloState`] back into its telemetry (the `nimble_slo_*` rows of the
 //! family table read it), and emits `slo_alert` / `slo_clear` events.
 
+use crate::router::Cadence;
 use crate::telemetry::{as_ns, ModelStats, Telemetry};
 use nimble_obs::events::{emit, FieldVal};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 /// Watchdog shape: objective, windows, thresholds, cadence.
 #[derive(Debug, Clone)]
@@ -200,103 +200,78 @@ pub struct SloState {
     pub alerting: bool,
 }
 
-/// The watchdog cadence thread: snapshots [`Telemetry`] every
-/// `interval`, feeds each model's [`BurnRateTracker`], publishes the
+/// The watchdog, ticked by a [`Cadence`] thread: each tick snapshots
+/// [`Telemetry`], feeds each model's [`BurnRateTracker`], publishes the
 /// resulting [`SloState`] into the model's telemetry, and emits
 /// `slo_alert`/`slo_clear` events on transitions. Holds only a weak
-/// telemetry reference; stops (and joins) when dropped, and withdraws the
-/// published states on the way out so a stopped watchdog leaves no stale
-/// alert behind.
-pub struct SloWatchdog {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for SloWatchdog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SloWatchdog").finish()
-    }
+/// telemetry reference, and withdraws the published states when the
+/// thread drops it, so a stopped watchdog leaves no stale alert behind.
+pub(crate) struct SloWatchdog {
+    telemetry: Weak<Telemetry>,
+    config: SloConfig,
+    trackers: BTreeMap<String, BurnRateTracker>,
 }
 
 impl SloWatchdog {
-    /// Spawn the watchdog over `telemetry`.
-    pub(crate) fn spawn(telemetry: &Arc<Telemetry>, config: SloConfig) -> SloWatchdog {
-        let stop = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&stop);
-        let telemetry = Arc::downgrade(telemetry);
-        let handle = std::thread::Builder::new()
-            .name("nimble-slo".to_string())
-            .spawn(move || {
-                let interval = config.interval.max(Duration::from_millis(1));
-                let nap = interval
-                    .min(Duration::from_millis(50))
-                    .max(Duration::from_millis(1));
-                let mut trackers: BTreeMap<String, BurnRateTracker> = BTreeMap::new();
-                let mut next = Instant::now() + interval;
-                while !flag.load(Ordering::Acquire) {
-                    if Instant::now() < next {
-                        std::thread::sleep(nap);
-                        continue;
-                    }
-                    next = Instant::now() + interval;
-                    let Some(telemetry) = telemetry.upgrade() else {
-                        return;
-                    };
-                    let snap = telemetry.snapshot();
-                    for (name, stats) in &snap.models {
-                        let tracker = trackers
-                            .entry(name.clone())
-                            .or_insert_with(|| BurnRateTracker::new(&config));
-                        let (good, total) = good_total(stats, config.latency_target);
-                        let transition = tracker.observe(good, total);
-                        let entry = SloState {
-                            objective: config.objective,
-                            fast_burn: tracker.fast_burn().unwrap_or(f64::NAN),
-                            slow_burn: tracker.slow_burn().unwrap_or(f64::NAN),
-                            alerting: tracker.alerting(),
-                        };
-                        if let Some(t) = transition {
-                            let kind = match t {
-                                Transition::Alert => "slo_alert",
-                                Transition::Clear => "slo_clear",
-                            };
-                            emit(
-                                kind,
-                                name,
-                                &[
-                                    ("fast_burn", FieldVal::F64(entry.fast_burn)),
-                                    ("slow_burn", FieldVal::F64(entry.slow_burn)),
-                                    ("objective", FieldVal::F64(config.objective)),
-                                ],
-                            );
-                        }
-                        telemetry.model(name).record_slo(Some(entry));
-                    }
-                }
-                if let Some(telemetry) = telemetry.upgrade() {
-                    for name in trackers.keys() {
-                        telemetry.model(name).record_slo(None);
-                    }
-                }
-            })
-            .expect("spawn slo watchdog thread");
-        SloWatchdog {
-            stop,
-            handle: Some(handle),
-        }
+    /// Spawn the watchdog thread over `telemetry`.
+    pub(crate) fn spawn(telemetry: &Arc<Telemetry>, config: SloConfig) -> Cadence {
+        let interval = config.interval;
+        let mut watchdog = SloWatchdog {
+            telemetry: Arc::downgrade(telemetry),
+            config,
+            trackers: BTreeMap::new(),
+        };
+        Cadence::spawn("nimble-slo", interval, move || watchdog.tick())
     }
 
-    pub(crate) fn stop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
+    /// One evaluation pass; `false` once the telemetry is gone.
+    fn tick(&mut self) -> bool {
+        let Some(telemetry) = self.telemetry.upgrade() else {
+            return false;
+        };
+        let config = &self.config;
+        let snap = telemetry.snapshot();
+        for (name, stats) in &snap.models {
+            let tracker = self
+                .trackers
+                .entry(name.clone())
+                .or_insert_with(|| BurnRateTracker::new(config));
+            let (good, total) = good_total(stats, config.latency_target);
+            let transition = tracker.observe(good, total);
+            let entry = SloState {
+                objective: config.objective,
+                fast_burn: tracker.fast_burn().unwrap_or(f64::NAN),
+                slow_burn: tracker.slow_burn().unwrap_or(f64::NAN),
+                alerting: tracker.alerting(),
+            };
+            if let Some(t) = transition {
+                let kind = match t {
+                    Transition::Alert => "slo_alert",
+                    Transition::Clear => "slo_clear",
+                };
+                emit(
+                    kind,
+                    name,
+                    &[
+                        ("fast_burn", FieldVal::F64(entry.fast_burn)),
+                        ("slow_burn", FieldVal::F64(entry.slow_burn)),
+                        ("objective", FieldVal::F64(config.objective)),
+                    ],
+                );
+            }
+            telemetry.model(name).record_slo(Some(entry));
         }
+        true
     }
 }
 
 impl Drop for SloWatchdog {
     fn drop(&mut self) {
-        self.stop();
+        if let Some(telemetry) = self.telemetry.upgrade() {
+            for name in self.trackers.keys() {
+                telemetry.model(name).record_slo(None);
+            }
+        }
     }
 }
 

@@ -1,22 +1,31 @@
-//! End-to-end trace test: one served request must yield a *connected*
+//! End-to-end trace tests: one served request must yield a *connected*
 //! span tree — serve root → engine queue/run → vm run → at least one
-//! kernel span — and both exporters must carry the same run.
+//! kernel span — and both exporters must carry the same run; every
+//! terminal outcome records exactly one serve root carrying its code.
 //!
-//! Everything lives in a single `#[test]` because the obs recorder is
-//! process-global (mode, thread buffers); integration tests get their own
-//! process, so no other suite can interleave.
+//! The obs recorder is process-global (mode, thread buffers), so the
+//! tests hold [`obs_lock`]; integration tests get their own process, so
+//! no other suite can interleave.
 
-use nimble_core::CompileOptions;
+use nimble_core::{CompileOptions, EngineConfig, Outcome};
 use nimble_ir::attrs::Attrs;
 use nimble_ir::builder::FunctionBuilder;
 use nimble_ir::types::TensorType;
 use nimble_ir::Module;
 use nimble_obs::{Category, SpanRecord, TraceMode};
-use nimble_serve::{ModelRegistry, RegistryConfig, Router, RouterConfig, SpecializeConfig};
+use nimble_serve::{
+    ModelRegistry, RegistryConfig, Rejected, Router, RouterConfig, SpecializeConfig,
+};
 use nimble_tensor::{DType, Tensor};
 use nimble_vm::Object;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+fn obs_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn add_k_module(k: f32) -> Module {
     let mut fb = FunctionBuilder::new("main");
@@ -63,6 +72,7 @@ fn path_to_root<'a>(
 
 #[test]
 fn traced_request_yields_connected_span_tree() {
+    let _l = obs_lock();
     nimble_obs::set_mode(TraceMode::All);
     nimble_obs::reset();
 
@@ -103,7 +113,11 @@ fn traced_request_yields_connected_span_tree() {
     assert_eq!(roots.len(), 1, "expected one serve root, got {roots:?}");
     let root = roots[0];
     assert_eq!(root.name, "bertish");
-    assert_eq!(root.arg, 0, "root must record the ok outcome");
+    assert_eq!(
+        root.arg,
+        Outcome::Completed as u64,
+        "root must record the ok outcome"
+    );
 
     // Queue-wait and execution are siblings directly under the root.
     let queue = spans
@@ -279,4 +293,89 @@ fn traced_request_yields_connected_span_tree() {
     drop(router);
     let prom = nimble_obs::export::prometheus();
     assert!(!prom.contains("nimble_serve_latency_seconds"));
+}
+
+#[test]
+fn every_terminal_outcome_records_its_root_code() {
+    let _l = obs_lock();
+    nimble_obs::set_mode(TraceMode::All);
+    nimble_obs::reset();
+    // The codes are published in exported traces: pin the table.
+    let table = [
+        Outcome::Completed,
+        Outcome::Failed,
+        Outcome::Expired,
+        Outcome::ReplicaDeath,
+        Outcome::Shed,
+    ];
+    assert_eq!(table.map(|o| o as u64), [0, 1, 2, 3, 4]);
+
+    // One single-worker replica with a one-slot queue per model, so a
+    // paused replica holds exactly one request.
+    let registry = Arc::new(ModelRegistry::new(RegistryConfig {
+        engine: EngineConfig {
+            workers: 1,
+            queue_capacity: 1,
+            max_batch: 1,
+        },
+        ..RegistryConfig::default()
+    }));
+    for model in ["expires", "dies", "sheds"] {
+        registry
+            .register(model, "v1", &add_k_module(1.0), &CompileOptions::default())
+            .unwrap();
+    }
+    let router = Router::new(Arc::clone(&registry), RouterConfig::default());
+    let x = || vec![Object::tensor(Tensor::ones_f32(&[2]))];
+    let shards = |model: &str| Arc::clone(registry.get(model).unwrap().shards());
+
+    // Expired while queued behind a paused replica.
+    let set = shards("expires");
+    set.pause_all();
+    let deadline = Instant::now() + Duration::from_millis(20);
+    let t = router
+        .submit_with_deadline("expires", x(), Some(deadline))
+        .unwrap();
+    std::thread::sleep(Duration::from_millis(40));
+    set.resume_all();
+    assert_eq!(t.wait().unwrap_err(), Rejected::Expired);
+
+    // Replica death: the only replica dies holding the request, and the
+    // requeue finds no survivor.
+    let set = shards("dies");
+    set.pause_all();
+    let t = router.submit("dies", x()).unwrap();
+    assert!(set.kill(set.replica_ids()[0]));
+    assert_eq!(t.wait().unwrap_err(), Rejected::Unloaded);
+
+    // Shed: the paused replica's one slot is taken, so the next request
+    // is refused at admission; the occupant then completes.
+    let set = shards("sheds");
+    set.pause_all();
+    let occupant = router.submit("sheds", x()).unwrap();
+    assert_eq!(
+        router.submit("sheds", x()).unwrap_err(),
+        Rejected::QueueFull
+    );
+    set.resume_all();
+    occupant.wait().unwrap();
+
+    let spans = nimble_obs::snapshot();
+    let codes = |model: &str| -> Vec<u64> {
+        let mut codes: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.parent == 0 && s.cat == Category::Serve && s.name == model)
+            .map(|s| s.arg)
+            .collect();
+        codes.sort_unstable();
+        codes
+    };
+    assert_eq!(codes("expires"), [Outcome::Expired as u64]);
+    assert_eq!(codes("dies"), [Outcome::ReplicaDeath as u64]);
+    assert_eq!(
+        codes("sheds"),
+        [Outcome::Completed as u64, Outcome::Shed as u64]
+    );
+    router.shutdown();
+    nimble_obs::set_mode(TraceMode::Off);
 }

@@ -302,15 +302,6 @@ impl ModelSpecializer {
         nimble_obs::events::emit(kind, &label, fields);
     }
 
-    /// Whether the cache currently holds an installed kernel for row
-    /// count `m` — the serving layer's warmth probe for shape-affinity
-    /// admission.
-    pub fn is_warm(&self, m: usize) -> bool {
-        self.entries.read().unwrap().iter().any(|((_, em), e)| {
-            *em == m && matches!(*e.state.read().unwrap(), EntryState::Ready(_))
-        })
-    }
-
     /// Point-in-time counters.
     pub fn stats(&self) -> SpecializeStats {
         let entries = self.entries.read().unwrap();

@@ -141,7 +141,7 @@ fn engine_serves_shared_lstm_bitwise_identical() {
             let which = i % inputs.len();
             (
                 which,
-                engine.submit("main", vec![list_object(&inputs[which])]),
+                engine.submit("main", vec![list_object(&inputs[which])], None),
             )
         })
         .collect();
