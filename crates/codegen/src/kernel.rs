@@ -25,7 +25,7 @@ use nimble_tensor::{DType, Tensor, UnaryOp};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Kernel execution failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -206,92 +206,37 @@ impl Kernel {
 
     /// Compile a fused primitive function into a single kernel.
     ///
-    /// The body is compiled once into a positional step list. A `dense`
-    /// anchor followed only by unary members becomes the GEMM-epilogue
-    /// kernel. Otherwise the elementwise members run through the strip
-    /// evaluator ([`StripPlan`]): the whole group when every member is
-    /// elementwise, else the tail behind an anchor that runs once through
-    /// its registry kernel, evaluated in place over the anchor's output.
-    /// Operands the evaluator cannot align fall back to member-at-a-time
-    /// interpretation.
+    /// The body is compiled once into a positional step list and an output
+    /// list. A `dense` anchor followed only by unary members becomes the
+    /// GEMM-epilogue kernel. Otherwise the elementwise members run through
+    /// the strip evaluator ([`StripPlan`]): the whole group when no member
+    /// is an anchor, else everything behind an anchor that runs once
+    /// through its registry kernel. A `split` along the last axis splits
+    /// the group into the members before it and the members after it,
+    /// which read its parts in place through a column offset and a row
+    /// stride. Operands the evaluator cannot align fall back to
+    /// member-at-a-time interpretation.
     ///
     /// # Errors
-    /// Fails when the body is not a let-chain of operator calls over
-    /// parameters, constants, and prior members.
+    /// Fails when the body is not a let-chain of operator calls and
+    /// `tuple_get`s over parameters, constants and prior members, ending in
+    /// one member, one field, or a tuple of them.
     pub fn from_primitive(func: &Function) -> Result<Kernel, KernelError> {
         if let Some(k) = compile_dense_epilogue(func) {
             return Ok(k);
         }
-        let mut pos_of_param: HashMap<u32, usize> = HashMap::new();
-        for (i, p) in func.params.iter().enumerate() {
-            pos_of_param.insert(p.id, i);
-        }
-        let mut pos_of_member: HashMap<u32, usize> = HashMap::new();
-        let mut steps: Vec<Step> = Vec::new();
-        let mut cur = func.body.clone();
-        loop {
-            match cur.kind() {
-                ExprKind::Let { var, value, body } => {
-                    let (name, args, attrs) = value.as_op_call().ok_or_else(|| {
-                        KernelError("primitive body must contain only op calls".into())
-                    })?;
-                    let def = op::lookup(name)?;
-                    let srcs = args
-                        .iter()
-                        .map(|a| match a.kind() {
-                            ExprKind::Var(v) => pos_of_param
-                                .get(&v.id)
-                                .map(|&i| Src::Param(i))
-                                .or_else(|| pos_of_member.get(&v.id).map(|&i| Src::Member(i)))
-                                .ok_or_else(|| KernelError(format!("unbound {v} in primitive"))),
-                            ExprKind::Constant(t) => Ok(Src::Const(t.clone())),
-                            other => Err(KernelError(format!(
-                                "unsupported primitive argument {other:?}"
-                            ))),
-                        })
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let ew = EwOp::of(name).and_then(|(op, arity)| {
-                        let f32_consts = srcs.iter().all(|s| match s {
-                            Src::Const(t) => t.dtype() == DType::F32,
-                            _ => true,
-                        });
-                        (srcs.len() == arity && f32_consts).then_some(op)
-                    });
-                    pos_of_member.insert(var.id, steps.len());
-                    steps.push(Step {
-                        exec: def.execute,
-                        attrs: attrs.clone(),
-                        args: srcs,
-                        name: def.name,
-                        ew,
-                    });
-                    cur = body.clone();
-                }
-                ExprKind::Var(v) => {
-                    let result_pos = *pos_of_member
-                        .get(&v.id)
-                        .ok_or_else(|| KernelError(format!("unbound result {v} in primitive")))?;
-                    if result_pos != steps.len() - 1 {
-                        return Err(KernelError(
-                            "primitive result must be the last member".into(),
-                        ));
-                    }
-                    break;
-                }
-                other => {
-                    return Err(KernelError(format!(
-                        "unsupported primitive result {other:?}"
-                    )))
-                }
-            }
-        }
+        let (members, outputs) = parse_primitive(func)?;
+        let steps: Vec<Step> = members.into_iter().map(Step::new).collect();
         let name = format!(
             "fused({})",
             steps.iter().map(|s| s.name).collect::<Vec<_>>().join("+")
         );
         let num_params = func.params.len();
-        let all_ew = steps.iter().all(|s| s.ew.is_some());
-        let tail_ew = steps.len() > 1 && steps[1..].iter().all(|s| s.ew.is_some());
+        let anchored = steps[0].kind == Kind::Other;
+        let strip = steps[usize::from(anchored)..]
+            .iter()
+            .all(|s| s.kind != Kind::Other);
+        let plans = PlanCache::default();
         Ok(Kernel::new(&name, move |inputs| {
             if inputs.len() != num_params {
                 return Err(KernelError(format!(
@@ -300,42 +245,206 @@ impl Kernel {
                 )));
             }
             let isa = nimble_simd::active();
-            if all_ew {
-                if let Some(plan) = StripPlan::new(&steps, inputs, None) {
-                    let mut out = vec![0.0f32; plan.dims.iter().product()];
-                    plan.run(isa, &steps, &mut out);
-                    return Ok(vec![Tensor::from_vec_f32(out, &plan.dims)?]);
+            let plan = |anchor: Option<&[usize]>| {
+                plans.get(inputs, || StripPlan::new(&steps, &outputs, inputs, anchor))
+            };
+            if strip && !anchored {
+                if let Some(plan) = plan(None) {
+                    return plan.run(isa, &steps, &outputs, inputs, None);
                 }
             }
             let mut anchor = steps[0].run(inputs, &[])?;
-            if tail_ew && anchor.dtype() == DType::F32 {
-                if let Some(plan) = StripPlan::new(&steps, inputs, Some(anchor.dims())) {
-                    plan.run(isa, &steps, anchor.as_f32_mut()?);
-                    if anchor.dims() != plan.dims.as_slice() {
-                        anchor = anchor.reshaped(&plan.dims)?;
-                    }
-                    return Ok(vec![anchor]);
+            if strip && anchored && anchor.len() == 1 && anchor[0].dtype() == DType::F32 {
+                let dims = anchor[0].dims();
+                if let Some(plan) = plan(Some(dims)).filter(|p| p.anchor.as_deref() == Some(dims)) {
+                    return plan.run(isa, &steps, &outputs, inputs, anchor.pop());
                 }
             }
             // Fallback: member-at-a-time interpretation.
+            FALLBACKS.with(|c| c.set(c.get() + 1));
             let mut members = vec![anchor];
             for step in &steps[1..] {
                 let out = step.run(inputs, &members)?;
                 members.push(out);
             }
-            Ok(vec![members.pop().expect("at least one member")])
+            Ok(outputs
+                .iter()
+                .map(|o| o.resolve(inputs, &members).clone())
+                .collect())
         }))
     }
+}
+
+/// Strip plans of one fused kernel, keyed by the dtypes and dims of its
+/// inputs (a plan depends on nothing else: the anchor's dims follow from
+/// them). `None` records a signature that falls back. Bounded: past
+/// [`PlanCache::CAP`] signatures, plans are rebuilt per call.
+#[derive(Default)]
+struct PlanCache(RwLock<Vec<(Signature, Option<Arc<StripPlan>>)>>);
+
+/// Each input's dtype and dims.
+type Signature = Vec<(DType, Vec<usize>)>;
+
+impl PlanCache {
+    const CAP: usize = 64;
+
+    fn get(
+        &self,
+        inputs: &[Tensor],
+        build: impl FnOnce() -> Option<StripPlan>,
+    ) -> Option<Arc<StripPlan>> {
+        let hit = |key: &[(DType, Vec<usize>)]| {
+            key.len() == inputs.len()
+                && key
+                    .iter()
+                    .zip(inputs)
+                    .all(|((dt, dims), t)| *dt == t.dtype() && dims == t.dims())
+        };
+        let cached = self.0.read().expect("plan cache lock");
+        if let Some((_, plan)) = cached.iter().find(|(key, _)| hit(key)) {
+            return plan.clone();
+        }
+        drop(cached);
+        let plan = build().map(Arc::new);
+        let mut cache = self.0.write().expect("plan cache lock");
+        if cache.len() < Self::CAP && !cache.iter().any(|(key, _)| hit(key)) {
+            let key = inputs
+                .iter()
+                .map(|t| (t.dtype(), t.dims().to_vec()))
+                .collect();
+            cache.push((key, plan.clone()));
+        }
+        plan
+    }
+}
+
+thread_local! {
+    static FALLBACKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many fused-kernel invocations on this thread fell back to
+/// member-at-a-time interpretation (a test hook: kernels run on the
+/// invoking thread, so a test can prove a group took the strip route).
+pub fn fallback_invocations() -> u64 {
+    FALLBACKS.with(|c| c.get())
 }
 
 /// Strip width of the fused elementwise evaluator, in floats.
 const STRIP: usize = 64;
 
-/// Where a fused member finds one operand.
-enum Src {
+/// Where a fused member finds one operand, or where a fused kernel finds
+/// one output.
+#[derive(Clone)]
+pub(crate) enum Src {
     Param(usize),
     Member(usize),
+    /// Field `.1` of the multi-output member `.0` (a `split` part).
+    Field(usize, usize),
     Const(Tensor),
+}
+
+impl Src {
+    /// The operand's value given every member's outputs so far.
+    fn resolve<'a>(&'a self, inputs: &'a [Tensor], members: &'a [Vec<Tensor>]) -> &'a Tensor {
+        match self {
+            Src::Param(i) => &inputs[*i],
+            Src::Member(i) => &members[*i][0],
+            Src::Field(i, k) => &members[*i][*k],
+            Src::Const(t) => t,
+        }
+    }
+}
+
+/// One operator member of a fused primitive, in positional form.
+pub(crate) struct Member {
+    pub(crate) def: &'static op::OpDef,
+    pub(crate) attrs: Attrs,
+    pub(crate) args: Vec<Src>,
+}
+
+/// Parse a primitive body into its operator members and its outputs.
+/// `tuple_get` bindings become [`Src::Field`] operands; the result is one
+/// member or field, or a tuple of them.
+pub(crate) fn parse_primitive(func: &Function) -> Result<(Vec<Member>, Vec<Src>), KernelError> {
+    let mut env: HashMap<u32, Src> = func
+        .params
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (p.id, Src::Param(i)))
+        .collect();
+    let mut tuples: HashMap<u32, Vec<Src>> = HashMap::new();
+    let mut members: Vec<Member> = Vec::new();
+    let lookup = |env: &HashMap<u32, Src>, a: &Expr| match a.kind() {
+        ExprKind::Var(v) => env
+            .get(&v.id)
+            .cloned()
+            .ok_or_else(|| KernelError(format!("unbound {v} in primitive"))),
+        ExprKind::Constant(t) => Ok(Src::Const(t.clone())),
+        other => Err(KernelError(format!(
+            "unsupported primitive argument {other:?}"
+        ))),
+    };
+    let mut cur = func.body.clone();
+    while let ExprKind::Let { var, value, body } = cur.kind() {
+        match value.kind() {
+            ExprKind::TupleGet(t, k) => match lookup(&env, t)? {
+                Src::Member(m) => {
+                    env.insert(var.id, Src::Field(m, *k));
+                }
+                _ => return Err(KernelError("tuple_get of a non-member".into())),
+            },
+            ExprKind::Tuple(fields) => {
+                let fields = fields
+                    .iter()
+                    .map(|f| lookup(&env, f))
+                    .collect::<Result<Vec<_>, _>>()?;
+                tuples.insert(var.id, fields);
+            }
+            _ => {
+                let (name, args, attrs) = value.as_op_call().ok_or_else(|| {
+                    KernelError("primitive body must contain only op calls".into())
+                })?;
+                let args = args
+                    .iter()
+                    .map(|a| lookup(&env, a))
+                    .collect::<Result<Vec<_>, _>>()?;
+                env.insert(var.id, Src::Member(members.len()));
+                members.push(Member {
+                    def: op::lookup(name)?,
+                    attrs: attrs.clone(),
+                    args,
+                });
+            }
+        }
+        cur = body.clone();
+    }
+    let ExprKind::Var(v) = cur.kind() else {
+        return Err(KernelError(format!("unsupported primitive result {cur:?}")));
+    };
+    let outputs = match tuples.remove(&v.id) {
+        Some(fields) => fields,
+        None => vec![lookup(&env, &cur)?],
+    };
+    let produced = |o: &Src| matches!(o, Src::Member(_) | Src::Field(..));
+    if members.is_empty() || outputs.is_empty() || !outputs.iter().all(produced) {
+        return Err(KernelError(
+            "primitive outputs must be members or fields of members".into(),
+        ));
+    }
+    Ok((members, outputs))
+}
+
+/// How the strip evaluator treats a member.
+#[derive(Clone, Copy, PartialEq)]
+enum Kind {
+    /// An elementwise op given exactly its operand count, with no non-f32
+    /// constant.
+    Ew(EwOp),
+    /// `split(x, parts, axis)`: a view, read in place when the axis is the
+    /// last.
+    Split { parts: usize, axis: usize },
+    /// Anything else (an anchor): runs through its registry kernel.
+    Other,
 }
 
 /// One member of a fused primitive, compiled to a positional step.
@@ -344,32 +453,53 @@ struct Step {
     attrs: Attrs,
     args: Vec<Src>,
     name: &'static str,
-    /// Set when the strip evaluator can run the member: an elementwise op
-    /// given exactly its operand count, with no non-f32 constant.
-    ew: Option<EwOp>,
+    kind: Kind,
 }
 
 impl Step {
+    fn new(m: Member) -> Step {
+        let name = m.def.name;
+        let ew = EwOp::of(name).and_then(|(op, arity)| {
+            let f32_consts = m.args.iter().all(|s| match s {
+                Src::Const(t) => t.dtype() == DType::F32,
+                _ => true,
+            });
+            (m.args.len() == arity && f32_consts).then_some(op)
+        });
+        let kind = match (ew, name, m.attrs.int("parts")) {
+            (Some(op), _, _) => Kind::Ew(op),
+            (None, "split", Some(parts)) if parts > 0 && m.args.len() == 1 => Kind::Split {
+                parts: parts as usize,
+                axis: m.attrs.int_or("axis", 0) as usize,
+            },
+            _ => Kind::Other,
+        };
+        Step {
+            exec: m.def.execute,
+            attrs: m.attrs,
+            args: m.args,
+            name,
+            kind,
+        }
+    }
+
     /// Run the member through its registry kernel.
-    fn run(&self, inputs: &[Tensor], members: &[Tensor]) -> Result<Tensor, KernelError> {
+    fn run(&self, inputs: &[Tensor], members: &[Vec<Tensor>]) -> Result<Vec<Tensor>, KernelError> {
         let args: Vec<Tensor> = self
             .args
             .iter()
-            .map(|src| match src {
-                Src::Param(i) => inputs[*i].clone(),
-                Src::Member(i) => members[*i].clone(),
-                Src::Const(t) => t.clone(),
-            })
+            .map(|src| src.resolve(inputs, members).clone())
             .collect();
-        (self.exec)(&args, &self.attrs)?
-            .into_iter()
-            .next()
-            .ok_or_else(|| KernelError(format!("{} produced no output", self.name)))
+        let out = (self.exec)(&args, &self.attrs)?;
+        if out.is_empty() {
+            return Err(KernelError(format!("{} produced no output", self.name)));
+        }
+        Ok(out)
     }
 }
 
 /// The elementwise ops the strip evaluator runs.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 enum EwOp {
     /// `tanh`, `sigmoid`, `relu`, `gelu`, `neg`, `sqrt`.
     Unary(UnaryOp),
@@ -435,163 +565,586 @@ enum Lane<'a> {
     Scalar(f32),
 }
 
-/// One operand of a strip-evaluated member, resolved for one call.
+/// One operand of a strip-evaluated member. Leaf operands (a param or a
+/// constant) are the step's argument in the same slot, read at run time.
 #[derive(Clone, Copy)]
-enum Operand<'a> {
-    /// An aligned tensor: as many elements as the output, in its order.
-    Slice(&'a [f32]),
-    /// A one-element tensor, broadcast.
-    Scalar(f32),
+enum Operand {
+    /// No operand: the second slot of a unary member.
+    Unused,
+    /// A leaf spanning its segment: as many elements, in its order.
+    Full,
+    /// A leaf spanning one row of its segment, broadcast down the rows.
+    Row,
+    /// A one-element leaf, broadcast.
+    Scalar,
     /// An earlier member's strip buffer.
     Member(usize),
+    /// Part `k` of the split: a column offset into the split input's row.
+    Part(usize),
 }
 
-impl<'a> Operand<'a> {
-    fn strip<'s>(self, done: &'s [f32], at: &Range<usize>) -> Lane<'s>
-    where
-        'a: 's,
-    {
-        match self {
-            Operand::Slice(s) => Lane::Slice(&s[at.clone()]),
-            Operand::Scalar(x) => Lane::Scalar(x),
-            Operand::Member(m) => Lane::Slice(&done[m * STRIP..m * STRIP + at.len()]),
-        }
-    }
+/// Where one strip lies: its flat range in the segment, its column offset
+/// within the segment's row, and — after a split — the split input from
+/// the strip's first part-0 element, with the part width.
+struct Pos<'s> {
+    at: Range<usize>,
+    col: usize,
+    part: &'s [f32],
+    cols: usize,
+}
 
-    /// A param or constant operand: `None` unless f32.
-    fn leaf(t: &'a Tensor) -> Option<Operand<'a>> {
-        match t.as_f32().ok()? {
-            [x] => Some(Operand::Scalar(*x)),
-            v => Some(Operand::Slice(v)),
+/// A param or constant operand's elements (f32: checked when planning).
+fn leaf<'s>(src: &'s Src, inputs: &'s [Tensor]) -> &'s [f32] {
+    let t = match src {
+        Src::Param(i) => &inputs[*i],
+        Src::Const(t) => t,
+        _ => unreachable!("leaf operands are params or constants"),
+    };
+    t.as_f32().expect("strip plans check leaf dtypes")
+}
+
+impl Operand {
+    /// The operand's lane for one strip; `src` is the step's argument in
+    /// the operand's slot.
+    fn strip<'s>(
+        self,
+        src: Option<&'s Src>,
+        inputs: &'s [Tensor],
+        done: &'s [f32],
+        pos: &Pos<'s>,
+    ) -> Lane<'s> {
+        let len = pos.at.len();
+        let leaf = || leaf(src.expect("leaf operands have a source"), inputs);
+        match self {
+            Operand::Unused => Lane::Scalar(0.0),
+            Operand::Full => Lane::Slice(&leaf()[pos.at.clone()]),
+            Operand::Row => Lane::Slice(&leaf()[pos.col..pos.col + len]),
+            Operand::Scalar => Lane::Scalar(leaf()[0]),
+            Operand::Member(m) => Lane::Slice(&done[m * STRIP..m * STRIP + len]),
+            Operand::Part(k) => Lane::Slice(&pos.part[k * pos.cols..k * pos.cols + len]),
         }
     }
+}
+
+/// How much of its segment a value spans.
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
+enum Span {
+    One,
+    Row,
+    Full,
 }
 
 /// One member's resolved operands and value shape.
-struct Resolved<'a> {
-    /// Unused slots (the second of a unary member, both of an anchor) hold
-    /// `Scalar(0.0)`.
-    args: [Operand<'a>; 2],
+struct Resolved {
+    args: [Operand; 2],
     /// Rank of the member's value: the highest rank among its operands.
     rank: usize,
-    /// The value has one element (every operand has).
-    one: bool,
+    /// The widest span among its operands.
+    span: Span,
 }
 
-/// Joins a non-one-element operand's dims into the group's common core:
-/// its dims after dropping leading 1s, so `[128]` aligns with `[1, 128]`.
-/// Returns the operand's `(rank, one)`, or `None` on a real broadcast.
-fn align<'d>(core: &mut Option<&'d [usize]>, dims: &'d [usize]) -> Option<(usize, bool)> {
+/// A value's dims without their leading 1s, so `[128]` aligns with
+/// `[1, 128]`; empty for one-element values.
+fn core_of(dims: &[usize]) -> &[usize] {
     if dims.iter().product::<usize>() == 1 {
-        return Some((dims.len(), true));
+        return &[];
     }
     let lead = dims.iter().take_while(|&&d| d == 1).count();
-    match core {
-        None => *core = Some(&dims[lead..]),
-        Some(c) if *c == &dims[lead..] => {}
-        Some(_) => return None,
+    &dims[lead..]
+}
+
+/// The members before or after the split: the core every spanning value
+/// shares, and the row (a suffix of the core) row-spanning operands repeat
+/// down the segment.
+struct Segment {
+    core: Vec<usize>,
+    row: Option<Vec<usize>>,
+}
+
+impl Segment {
+    /// The segment whose core is the longest among `dims`.
+    fn new<'d>(dims: impl IntoIterator<Item = &'d [usize]>) -> Segment {
+        let core = dims
+            .into_iter()
+            .map(core_of)
+            .max_by_key(|c| c.len())
+            .unwrap_or(&[])
+            .to_vec();
+        Segment { core, row: None }
     }
-    Some((dims.len(), false))
+
+    fn len(&self) -> usize {
+        self.core.iter().product()
+    }
+
+    /// The width of the rows strips walk: the row operands', else the
+    /// whole segment.
+    fn width(&self) -> usize {
+        self.row.as_ref().map_or(self.len(), |r| r.iter().product())
+    }
+
+    /// `(rank, span)` of a value with `dims`; `None` on a broadcast other
+    /// than one row repeated down the segment (all such rows alike).
+    fn span(&mut self, dims: &[usize]) -> Option<(usize, Span)> {
+        let c = core_of(dims);
+        let span = if c.is_empty() {
+            Span::One
+        } else if c == self.core {
+            Span::Full
+        } else if self.core.ends_with(c) && *self.row.get_or_insert_with(|| c.to_vec()) == c {
+            Span::Row
+        } else {
+            return None;
+        };
+        Some((dims.len(), span))
+    }
+
+    /// Dims and element count of a member value of `rank` and `span`.
+    fn value(&self, rank: usize, span: Span) -> (Vec<usize>, usize) {
+        let core: &[usize] = match span {
+            Span::Full => &self.core,
+            Span::Row => self.row.as_deref().unwrap_or(&[]),
+            Span::One => &[],
+        };
+        let mut d = vec![1; rank - core.len()];
+        d.extend_from_slice(core);
+        (d, core.iter().product())
+    }
 }
 
-/// One call's worth of strip evaluation: every operand resolved to a slice,
-/// a broadcast scalar or an earlier member, and the output dims registry
-/// broadcasting would produce.
-struct StripPlan<'a> {
-    members: Vec<Resolved<'a>>,
-    /// 1 when member 0 is an anchor whose value is already in the output.
-    start: usize,
+/// Where a materialized member's full value lives during one call.
+#[derive(Clone, Copy, PartialEq)]
+enum Buf {
+    /// The anchor's output buffer (the anchor itself, or the last
+    /// materialized member before the split, written in place).
+    Anchor,
+    /// An own buffer of a member before the split.
+    Pre(usize),
+    /// An own buffer of a member after the split.
+    Post(usize),
+}
+
+/// The in-place split: which step, where its input lives (a param, or a
+/// member's buffer), and the part geometry (`rows × cols` parts in rows of
+/// `stride = parts × cols`).
+struct SplitView {
+    at: usize,
+    input: Result<usize, Buf>,
     dims: Vec<usize>,
+    rows: usize,
+    cols: usize,
+    stride: usize,
 }
 
-impl<'a> StripPlan<'a> {
-    /// Resolve the members from `anchor.is_some()` on (member 0's dims when
-    /// it is an anchor). `None` when an operand is not f32, is neither one
-    /// element nor aligned, or when an anchor's buffer cannot hold the
-    /// output.
-    fn new(steps: &'a [Step], inputs: &'a [Tensor], anchor: Option<&[usize]>) -> Option<Self> {
-        let mut core: Option<&[usize]> = None;
-        let mut members: Vec<Resolved<'a>> = Vec::with_capacity(steps.len());
-        let unused = [Operand::Scalar(0.0); 2];
+/// Strip evaluation of one fused group for one input signature: every
+/// operand resolved to a leaf of some span, an earlier member or a split
+/// part, the dims registry broadcasting would give each member, and where
+/// each materialized member (an output, or the split's input) is stored.
+struct StripPlan {
+    members: Vec<Resolved>,
+    /// The anchor's dims, when member 0 is an anchor whose value is
+    /// already computed.
+    anchor: Option<Vec<usize>>,
+    split: Option<SplitView>,
+    /// Element count and row width of the members before the split.
+    pre_len: usize,
+    pre_width: usize,
+    dims: Vec<Vec<usize>>,
+    store: Vec<Option<Buf>>,
+    /// Lengths of the own buffers before and after the split.
+    pre_bufs: Vec<usize>,
+    post_bufs: Vec<usize>,
+}
+
+/// Store one strip of a member's value: a full value at the strip's flat
+/// range, a row value from the first row only, a one-element value once.
+fn put(buf: &mut [f32], span: Span, row: usize, pos: &Pos<'_>, strip: &[f32]) {
+    match span {
+        Span::Full => buf[pos.at.clone()].copy_from_slice(strip),
+        Span::Row if row == 0 => buf[pos.col..pos.col + strip.len()].copy_from_slice(strip),
+        Span::One if pos.at.start == 0 => buf[0] = strip[0],
+        _ => {}
+    }
+}
+
+/// Dims of the param and constant operands of the elementwise steps in
+/// `range`.
+fn leaf_dims<'a>(
+    steps: &'a [Step],
+    range: Range<usize>,
+    inputs: &'a [Tensor],
+) -> impl Iterator<Item = &'a [usize]> {
+    let ew = steps[range]
+        .iter()
+        .filter(|s| matches!(s.kind, Kind::Ew(_)));
+    ew.flat_map(move |s| {
+        s.args.iter().filter_map(move |a| match a {
+            Src::Param(i) => Some(inputs[*i].dims()),
+            Src::Const(t) => Some(t.dims()),
+            _ => None,
+        })
+    })
+}
+
+/// Resolve an elementwise member of the segment whose members start at
+/// `lo`; `part` names the split step and its part dims after a split.
+fn resolve(
+    step: &Step,
+    inputs: &[Tensor],
+    members: &[Resolved],
+    seg: &mut Segment,
+    lo: usize,
+    part: Option<(usize, &[usize])>,
+) -> Option<Resolved> {
+    if !matches!(step.kind, Kind::Ew(_)) {
+        return None;
+    }
+    let mut m = Resolved {
+        args: [Operand::Unused; 2],
+        rank: 0,
+        span: Span::One,
+    };
+    for (slot, src) in m.args.iter_mut().zip(&step.args) {
+        let mut leaf = |t: &Tensor| {
+            t.as_f32().ok()?;
+            let (rank, span) = seg.span(t.dims())?;
+            *slot = match span {
+                Span::One => Operand::Scalar,
+                Span::Row => Operand::Row,
+                Span::Full => Operand::Full,
+            };
+            Some((rank, span))
+        };
+        let (rank, span) = match src {
+            Src::Param(i) => leaf(&inputs[*i])?,
+            Src::Const(t) => leaf(t)?,
+            Src::Member(i) if *i >= lo => {
+                *slot = Operand::Member(*i);
+                (members[*i].rank, members[*i].span)
+            }
+            Src::Field(s, k) => match part {
+                Some((at, dims)) if at == *s => {
+                    *slot = Operand::Part(*k);
+                    seg.span(dims)?
+                }
+                _ => return None,
+            },
+            Src::Member(_) => return None,
+        };
+        m.rank = m.rank.max(rank);
+        if span > m.span {
+            m.span = span;
+        }
+    }
+    Some(m)
+}
+
+impl StripPlan {
+    /// Resolve every member (member 0 from `anchor`'s dims when anchored).
+    /// `None` when an operand is not f32 or broadcasts other than as a
+    /// repeated row, a member reads across the split other than through
+    /// its parts, the group has more than one split or splits other than
+    /// along the last axis, or a stored value does not span its segment.
+    fn new(
+        steps: &[Step],
+        outputs: &[Src],
+        inputs: &[Tensor],
+        anchor: Option<&[usize]>,
+    ) -> Option<Self> {
+        let n = steps.len();
+        let is_split = |s: &&Step| matches!(s.kind, Kind::Split { .. });
+        if steps.iter().filter(is_split).count() > 1 {
+            return None;
+        }
+        let at = steps.iter().position(|s| is_split(&s));
+        let split_at = at.unwrap_or(n);
+        let mut members: Vec<Resolved> = Vec::with_capacity(n);
+        let unused = [Operand::Unused; 2];
+
+        // Before the split.
+        let pre_dims = anchor
+            .into_iter()
+            .chain(leaf_dims(steps, 0..split_at, inputs));
+        let mut pre = Segment::new(pre_dims);
         if let Some(dims) = anchor {
-            let (rank, one) = align(&mut core, dims)?;
+            let (rank, span) = pre.span(dims)?;
             members.push(Resolved {
                 args: unused,
                 rank,
-                one,
+                span,
             });
-        }
-        let start = members.len();
-        for step in &steps[start..] {
-            let mut m = Resolved {
-                args: unused,
-                rank: 0,
-                one: true,
-            };
-            for (slot, src) in m.args.iter_mut().zip(&step.args) {
-                let (rank, one) = match src {
-                    Src::Member(i) => {
-                        *slot = Operand::Member(*i);
-                        (members[*i].rank, members[*i].one)
-                    }
-                    Src::Param(i) => {
-                        *slot = Operand::leaf(&inputs[*i])?;
-                        align(&mut core, inputs[*i].dims())?
-                    }
-                    Src::Const(t) => {
-                        *slot = Operand::leaf(t)?;
-                        align(&mut core, t.dims())?
-                    }
-                };
-                m.rank = m.rank.max(rank);
-                m.one &= one;
+            if span != Span::Full && pre.len() != 1 {
+                return None;
             }
+        }
+        for step in &steps[members.len()..split_at] {
+            let m = resolve(step, inputs, &members, &mut pre, 0, None)?;
             members.push(m);
         }
-        let last = members.last()?;
-        let core = match (last.one, core) {
-            (true, None) => &[][..],
-            (false, Some(c)) => c,
-            // A one-element result beside larger operands (a member the
-            // result never reads): leave it to the registry.
-            _ => return None,
-        };
-        let mut dims = vec![1; last.rank - core.len()];
-        dims.extend_from_slice(core);
-        if anchor.is_some_and(|a| a.iter().product::<usize>() != dims.iter().product()) {
+
+        // The split and the members after it.
+        let mut post = Segment::new(None);
+        let mut split = None;
+        if let Some(at) = at {
+            let Kind::Split { parts, axis } = steps[at].kind else {
+                unreachable!("position found a split")
+            };
+            let (input, dims) = match &steps[at].args[0] {
+                Src::Param(i) => {
+                    inputs[*i].as_f32().ok()?;
+                    (Ok(*i), inputs[*i].dims().to_vec())
+                }
+                Src::Member(i) if members[*i].span == Span::Full => {
+                    (Err(Buf::Anchor), pre.value(members[*i].rank, Span::Full).0)
+                }
+                _ => return None,
+            };
+            let last = *dims.last()?;
+            if axis + 1 != dims.len() || last == 0 || !last.is_multiple_of(parts) {
+                return None;
+            }
+            let mut part = dims;
+            part[axis] = last / parts;
+            members.push(Resolved {
+                args: unused,
+                rank: part.len(),
+                span: Span::One,
+            });
+            let post_dims = std::iter::once(&part[..]).chain(leaf_dims(steps, at + 1..n, inputs));
+            post = Segment::new(post_dims);
+            if post.core != core_of(&part) {
+                return None;
+            }
+            for step in &steps[at + 1..] {
+                let m = resolve(step, inputs, &members, &mut post, at + 1, Some((at, &part)))?;
+                members.push(m);
+            }
+            let cols = part[axis];
+            if post.row.is_some() && post.width() != cols {
+                return None;
+            }
+            split = Some(SplitView {
+                at,
+                input,
+                rows: post.len() / cols,
+                cols,
+                stride: cols * parts,
+                dims: part,
+            });
+        }
+        let (pre_len, post_len) = (pre.len(), post.len());
+        if pre_len == 0 || post_len == 0 {
             return None;
+        }
+        let is_post = |j: usize| at.is_some_and(|s| j > s);
+        let seg = |j: usize| if is_post(j) { &post } else { &pre };
+        let (dims, lens): (Vec<Vec<usize>>, Vec<usize>) = members
+            .iter()
+            .enumerate()
+            .map(|(j, m)| seg(j).value(m.rank, m.span))
+            .unzip();
+
+        // Materialize the outputs and the split's input.
+        let mut wanted: Vec<usize> = Vec::new();
+        for o in outputs {
+            match o {
+                Src::Member(j) if Some(*j) != at => wanted.push(*j),
+                Src::Field(s, _) if Some(*s) == at => {}
+                _ => return None,
+            }
+        }
+        if let Some(Src::Member(i)) = at.map(|s| &steps[s].args[0]) {
+            wanted.push(*i);
+        }
+        let mut store: Vec<Option<Buf>> = vec![None; n];
+        let (mut pre_bufs, mut post_bufs) = (Vec::new(), Vec::new());
+        let anchor_free = anchor.is_some() && !wanted.contains(&0);
+        if anchor.is_some() {
+            store[0] = Some(Buf::Anchor);
+        }
+        // Only a value spanning its segment can take over the anchor's
+        // buffer.
+        let full = |j: usize| members[j].span == Span::Full || seg(j).len() == 1;
+        let last_pre = wanted
+            .iter()
+            .copied()
+            .filter(|&j| !is_post(j) && j != 0 && full(j))
+            .max();
+        for &j in &wanted {
+            if store[j].is_some() {
+                continue;
+            }
+            store[j] = Some(if is_post(j) {
+                post_bufs.push(lens[j]);
+                Buf::Post(post_bufs.len() - 1)
+            } else if anchor_free && Some(j) == last_pre {
+                Buf::Anchor
+            } else {
+                pre_bufs.push(lens[j]);
+                Buf::Pre(pre_bufs.len() - 1)
+            });
+        }
+        if let Some(sp) = &mut split {
+            if let Src::Member(i) = steps[sp.at].args[0] {
+                sp.input = Err(store[i].expect("the split input is materialized"));
+            }
         }
         Some(StripPlan {
             members,
-            start,
+            anchor: anchor.map(<[usize]>::to_vec),
+            split,
+            pre_len,
+            pre_width: pre.width(),
             dims,
+            store,
+            pre_bufs,
+            post_bufs,
         })
     }
 
-    /// Evaluate strip by strip into `out` (which already holds member 0 when
-    /// it is an anchor). Each member writes one strip buffer; the last
-    /// writes straight into `out`.
-    fn run(&self, isa: Isa, steps: &[Step], out: &mut [f32]) {
+    /// Evaluate the members before the split (in place over the anchor's
+    /// buffer when anchored), then the members after it, strip by strip
+    /// along each segment's rows, and assemble the outputs.
+    fn run(
+        &self,
+        isa: Isa,
+        steps: &[Step],
+        outputs: &[Src],
+        inputs: &[Tensor],
+        anchor: Option<Tensor>,
+    ) -> Result<Vec<Tensor>, KernelError> {
         let n = steps.len();
-        let mut scratch = vec![0.0f32; (n - 1) * STRIP];
-        for (k, out_strip) in out.chunks_mut(STRIP).enumerate() {
-            let at = k * STRIP..k * STRIP + out_strip.len();
-            if self.start == 1 {
-                scratch[..at.len()].copy_from_slice(out_strip);
+        let mut anchor = anchor;
+        let mut scratch = vec![0.0f32; n * STRIP];
+        let mut pre: Vec<Vec<f32>> = self.pre_bufs.iter().map(|&l| vec![0.0; l]).collect();
+        let mut post: Vec<Vec<f32>> = self.post_bufs.iter().map(|&l| vec![0.0; l]).collect();
+        let split_at = self.split.as_ref().map_or(n, |s| s.at);
+        {
+            let anchor_buf: &mut [f32] = match anchor.as_mut() {
+                Some(t) => t.as_f32_mut()?,
+                None => &mut [],
+            };
+            let first = usize::from(self.anchor.is_some());
+            let width = self.pre_width;
+            for row in 0..self.pre_len / width {
+                for col in (0..width).step_by(STRIP) {
+                    let at = row * width + col..row * width + (col + STRIP).min(width);
+                    if first == 1 {
+                        scratch[..at.len()].copy_from_slice(&anchor_buf[at.clone()]);
+                    }
+                    let pos = Pos {
+                        at,
+                        col,
+                        part: &[],
+                        cols: 0,
+                    };
+                    for j in first..split_at {
+                        let dst = self.step(isa, steps, inputs, j, &mut scratch, &pos);
+                        let span = self.members[j].span;
+                        match self.store[j] {
+                            Some(Buf::Anchor) => put(anchor_buf, span, row, &pos, dst),
+                            Some(Buf::Pre(b)) => put(&mut pre[b], span, row, &pos, dst),
+                            _ => {}
+                        }
+                    }
+                }
             }
-            let members = self.members.iter().zip(steps).enumerate();
-            for (j, (member, step)) in members.skip(self.start) {
-                let (done, rest) = scratch.split_at_mut(j * STRIP);
-                let dst = if j + 1 == n {
-                    &mut *out_strip
-                } else {
-                    &mut rest[..at.len()]
+            if let Some(sp) = &self.split {
+                let base: &[f32] = match sp.input {
+                    Ok(i) => inputs[i].as_f32()?,
+                    Err(Buf::Anchor) => anchor_buf,
+                    Err(Buf::Pre(b)) => &pre[b],
+                    Err(Buf::Post(_)) => unreachable!("the split input precedes the split"),
                 };
-                let [a, b] = member.args;
-                let op = step.ew.expect("strip members are elementwise");
-                op.apply(isa, dst, a.strip(done, &at), b.strip(done, &at));
+                for row in 0..sp.rows {
+                    for col in (0..sp.cols).step_by(STRIP) {
+                        let at = row * sp.cols + col..row * sp.cols + (col + STRIP).min(sp.cols);
+                        let pos = Pos {
+                            at,
+                            col,
+                            part: &base[row * sp.stride + col..],
+                            cols: sp.cols,
+                        };
+                        for j in sp.at + 1..n {
+                            let dst = self.step(isa, steps, inputs, j, &mut scratch, &pos);
+                            if let Some(Buf::Post(b)) = self.store[j] {
+                                put(&mut post[b], self.members[j].span, row, &pos, dst);
+                            }
+                        }
+                    }
+                }
             }
         }
+        // Outputs: split parts are copied out first, while the split's
+        // input buffer is still at hand.
+        let part_of = |k: usize| -> Result<Tensor, KernelError> {
+            let sp = self.split.as_ref().expect("fields read the split");
+            let base: &[f32] = match sp.input {
+                Ok(i) => inputs[i].as_f32()?,
+                Err(Buf::Anchor) => anchor.as_ref().expect("anchored").as_f32()?,
+                Err(Buf::Pre(b)) => &pre[b],
+                Err(Buf::Post(_)) => unreachable!("the split input precedes the split"),
+            };
+            let mut v = Vec::with_capacity(sp.rows * sp.cols);
+            for row in 0..sp.rows {
+                let from = row * sp.stride + k * sp.cols;
+                v.extend_from_slice(&base[from..from + sp.cols]);
+            }
+            Ok(Tensor::from_vec_f32(v, &sp.dims)?)
+        };
+        let mut out: Vec<Option<Tensor>> = outputs
+            .iter()
+            .map(|o| match o {
+                Src::Field(_, k) => part_of(*k).map(Some),
+                _ => Ok(None),
+            })
+            .collect::<Result<_, _>>()?;
+        for (slot, o) in out.iter_mut().zip(outputs) {
+            let Src::Member(j) = o else { continue };
+            let dims = &self.dims[*j];
+            *slot = Some(match self.store[*j].expect("outputs are materialized") {
+                Buf::Anchor => {
+                    let t = anchor.take().expect("the anchor buffer is one output");
+                    if t.dims() == dims.as_slice() {
+                        t
+                    } else {
+                        t.reshaped(dims)?
+                    }
+                }
+                Buf::Pre(b) => Tensor::from_vec_f32(std::mem::take(&mut pre[b]), dims)?,
+                Buf::Post(b) => Tensor::from_vec_f32(std::mem::take(&mut post[b]), dims)?,
+            });
+        }
+        Ok(out
+            .into_iter()
+            .map(|t| t.expect("every output assembled"))
+            .collect())
+    }
+
+    /// Evaluate member `j` over one strip into its scratch slot and return
+    /// the slot.
+    fn step<'s>(
+        &self,
+        isa: Isa,
+        steps: &[Step],
+        inputs: &[Tensor],
+        j: usize,
+        scratch: &'s mut [f32],
+        pos: &Pos<'_>,
+    ) -> &'s [f32] {
+        let (done, rest) = scratch.split_at_mut(j * STRIP);
+        let dst = &mut rest[..pos.at.len()];
+        let [a, b] = self.members[j].args;
+        let Kind::Ew(op) = steps[j].kind else {
+            unreachable!("strip members are elementwise")
+        };
+        let args = &steps[j].args;
+        let (a, b) = (
+            a.strip(args.first(), inputs, done, pos),
+            b.strip(args.get(1), inputs, done, pos),
+        );
+        op.apply(isa, dst, a, b);
+        dst
     }
 }
 

@@ -17,12 +17,11 @@
 //! because the fusion policy forbids fusing past data-dependent or
 //! upper-bound operators.
 
-use crate::kernel::KernelError;
+use crate::kernel::{parse_primitive, KernelError, Src};
 use nimble_ir::attrs::Attrs;
-use nimble_ir::expr::{ExprKind, Function};
+use nimble_ir::expr::Function;
 use nimble_ir::op::{self, ShapeFnKind};
 use nimble_tensor::{DType, Tensor};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -158,121 +157,80 @@ impl ShapeFuncKernel {
     /// shape functions composed in binding order ("the compiler can easily
     /// connect the shape functions of basic operators to form the shape
     /// function for a composite operator when all shape functions are data
-    /// independent").
+    /// independent"). A multi-output member (`split`) yields one shape per
+    /// field, and the result has one shape per primitive output.
     ///
     /// `param_dtypes` gives the dtype of each primitive parameter.
     ///
     /// # Errors
     /// Fails when a member operator is not data independent (the fusion
-    /// policy should have prevented this).
+    /// policy should have prevented this) or the body is malformed.
     pub fn from_primitive(
         func: &Function,
         param_dtypes: Vec<DType>,
     ) -> Result<ShapeFuncKernel, KernelError> {
-        // Pre-validate the members.
-        let mut cur = func.body.clone();
-        while let ExprKind::Let { value, body, .. } = cur.kind() {
-            if let Some((name, _, _)) = value.as_op_call() {
-                let def = op::lookup(name)?;
-                if def.is_fusion_barrier() {
-                    return Err(KernelError(format!(
-                        "composite shape function: member {name} is not data independent"
-                    )));
-                }
-            }
-            cur = body.clone();
+        let (members, outputs) = parse_primitive(func)?;
+        if let Some(m) = members.iter().find(|m| m.def.is_fusion_barrier()) {
+            return Err(KernelError(format!(
+                "composite shape function: member {} is not data independent",
+                m.def.name
+            )));
         }
-        let func = func.clone();
+        let num_params = func.params.len();
         Ok(ShapeFuncKernel {
             name: "composite".into(),
             mode: ShapeFuncMode::Shapes,
             f: Arc::new(move |inputs| {
-                // Environment: var id -> (shape, dtype).
-                let mut env: HashMap<u32, (Vec<usize>, DType)> = HashMap::new();
-                if inputs.len() != func.params.len() {
+                if inputs.len() != num_params {
                     return Err(KernelError(format!(
-                        "composite shape function arity {} vs {}",
-                        inputs.len(),
-                        func.params.len()
+                        "composite shape function arity {} vs {num_params}",
+                        inputs.len()
                     )));
                 }
-                for ((p, t), dt) in func
-                    .params
-                    .iter()
-                    .zip(inputs.iter())
-                    .zip(param_dtypes.iter())
-                {
-                    let shape = t
-                        .as_i64()
-                        .map_err(KernelError::from)?
-                        .iter()
-                        .map(|&d| d as usize)
-                        .collect();
-                    env.insert(p.id, (shape, *dt));
-                }
-                let mut cur = func.body.clone();
-                loop {
-                    match cur.kind() {
-                        ExprKind::Let { var, value, body } => {
-                            let (name, args, attrs) = value.as_op_call().ok_or_else(|| {
-                                KernelError("composite member must be an op call".into())
-                            })?;
-                            let def = op::lookup(name)?;
-                            let mut shapes = Vec::with_capacity(args.len());
-                            let mut dtypes = Vec::with_capacity(args.len());
-                            for a in args {
-                                match a.kind() {
-                                    ExprKind::Var(v) => {
-                                        let (s, dt) = env.get(&v.id).ok_or_else(|| {
-                                            KernelError(format!("unbound {v} in composite"))
-                                        })?;
-                                        shapes.push(s.clone());
-                                        dtypes.push(*dt);
-                                    }
-                                    ExprKind::Constant(t) => {
-                                        shapes.push(t.dims().to_vec());
-                                        dtypes.push(t.dtype());
-                                    }
-                                    other => {
-                                        return Err(KernelError(format!(
-                                            "unsupported composite arg {other:?}"
-                                        )))
-                                    }
-                                }
-                            }
-                            let out = def
-                                .infer_shapes(&shapes, &dtypes, attrs)
-                                .map_err(KernelError::from)?;
-                            // Members are single-output by the fusion pass.
-                            let out_shape = out
-                                .into_iter()
-                                .next()
-                                .ok_or_else(|| KernelError("member with no output".into()))?;
-                            // Output dtype: use the type relation on static
-                            // inputs to recover it cheaply — reuse the
-                            // relation result dtype by running it again is
-                            // wasteful; derive from attrs for `cast`, else
-                            // first input's dtype.
-                            let out_dt = attrs
-                                .dtype("to")
-                                .or_else(|| dtypes.first().copied())
-                                .unwrap_or(DType::F32);
-                            env.insert(var.id, (out_shape, out_dt));
-                            cur = body.clone();
-                        }
-                        ExprKind::Var(v) => {
-                            let (s, _) = env
-                                .get(&v.id)
-                                .ok_or_else(|| KernelError(format!("unbound result {v}")))?;
-                            return Ok(shapes_to_tensors(vec![s.clone()]));
-                        }
-                        other => {
-                            return Err(KernelError(format!(
-                                "unsupported composite result {other:?}"
-                            )))
-                        }
+                let params = tensors_to_shapes(inputs)?;
+                // Each member's (shape, dtype) per output.
+                let mut env: Vec<Vec<(Vec<usize>, DType)>> = Vec::with_capacity(members.len());
+                let value = |env: &[Vec<(Vec<usize>, DType)>], src: &Src| match src {
+                    Src::Param(i) => (
+                        params[*i].clone(),
+                        param_dtypes.get(*i).copied().unwrap_or(DType::F32),
+                    ),
+                    Src::Member(i) => env[*i][0].clone(),
+                    Src::Field(i, k) => env[*i][*k].clone(),
+                    Src::Const(t) => (t.dims().to_vec(), t.dtype()),
+                };
+                for m in &members {
+                    let (shapes, dtypes): (Vec<_>, Vec<_>) =
+                        m.args.iter().map(|a| value(&env, a)).unzip();
+                    let out = m
+                        .def
+                        .infer_shapes(&shapes, &dtypes, &m.attrs)
+                        .map_err(KernelError::from)?;
+                    if out.is_empty() {
+                        return Err(KernelError("member with no output".into()));
                     }
+                    // Output dtype: `cast`'s target, else the first input's.
+                    let out_dt = m
+                        .attrs
+                        .dtype("to")
+                        .or_else(|| dtypes.first().copied())
+                        .unwrap_or(DType::F32);
+                    env.push(out.into_iter().map(|s| (s, out_dt)).collect());
                 }
+                let shapes = outputs
+                    .iter()
+                    .map(|o| {
+                        let field = match o {
+                            Src::Field(i, k) => env[*i].get(*k),
+                            Src::Member(i) => env[*i].first(),
+                            _ => None,
+                        };
+                        field
+                            .map(|(s, _)| s.clone())
+                            .ok_or_else(|| KernelError("composite output out of range".into()))
+                    })
+                    .collect::<Result<Vec<_>, _>>()?;
+                Ok(shapes_to_tensors(shapes))
             }),
         })
     }

@@ -2,29 +2,33 @@
 //!
 //! `Kernel::from_primitive` runs a fused group one of four ways: the strip
 //! evaluator over the whole group (every member elementwise), the strip
-//! evaluator over the tail in place behind an anchor (`dense`,
+//! evaluator over everything in place behind an anchor (`dense`,
 //! `batch_matmul`, or a first member whose operands do not align), the
 //! GEMM epilogue (`dense` followed only by unary members), or
-//! member-at-a-time interpretation. Whichever route a group takes, its
-//! output must carry exactly the bits — and the dims — of evaluating the
-//! members one at a time through the op registry ([`eval_flat_body`])
+//! member-at-a-time interpretation. Whichever route a group takes, each of
+//! its outputs must carry exactly the bits — and the dims — of evaluating
+//! the members one at a time through the op registry ([`eval_flat_body`])
 //! under the same active SIMD backend. CI runs this file under the
 //! detected backend and again under `NIMBLE_SIMD=scalar`.
 //!
-//! Groups are random chains of up to 8 members over all 12 elementwise
-//! ops, with param, constant and earlier-member operands; one-element
-//! operands of rank 0–2; aligned operands with up to two leading 1s
-//! (`[n]` against `[1, n]`); output lengths 1..=300 so strips (64 floats)
-//! and their tails are crossed; and an edge-value battery (±0, NaN, ±inf,
-//! subnormals, the tanh / sigmoid / exp saturation knees) mixed into
-//! every operand.
+//! Chains are random runs of up to 8 members over all 12 elementwise ops,
+//! with param, constant and earlier-member operands; one-element operands
+//! of rank 0–2; aligned operands with up to two leading 1s (`[n]` against
+//! `[1, n]`) and rows broadcast down multi-row cores; output lengths
+//! 1..=300 so strips (64 floats) and their tails are crossed; and an
+//! edge-value battery (±0, NaN, ±inf, subnormals, the tanh / sigmoid / exp
+//! saturation knees) mixed into every operand. DAG groups add a `split`
+//! along the last axis whose parts later members read in place, and
+//! several outputs, over `m` in {1, 3, 8} rows; those must take the strip
+//! route.
 
 // Saturation knees are written with the kernels' full published digits.
 #![allow(clippy::excessive_precision)]
 
+use nimble_codegen::kernel::fallback_invocations;
 use nimble_codegen::Kernel;
 use nimble_ir::op;
-use nimble_ir::{Attrs, Expr, ExprKind, Function, Tensor, Type, Var};
+use nimble_ir::{AttrValue, Attrs, Expr, ExprKind, Function, Tensor, Type, Var};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -34,36 +38,36 @@ const UNARY: [&str; 6] = ["tanh", "sigmoid", "relu", "gelu", "neg", "sqrt"];
 const BINARY: [&str; 6] = ["add", "sub", "mul", "div", "maximum", "minimum"];
 
 /// The oracle: interpret the group's let-chain member by member through
-/// the registry kernels, each member's output a fresh tensor.
-fn eval_flat_body(func: &Function, inputs: &[Tensor]) -> Tensor {
-    let mut env: HashMap<u32, Tensor> = func
+/// the registry kernels, each member's outputs fresh tensors, and return
+/// the result — one value, or the fields of a result tuple.
+fn eval_flat_body(func: &Function, inputs: &[Tensor]) -> Vec<Tensor> {
+    let mut env: HashMap<u32, Vec<Tensor>> = func
         .params
         .iter()
         .map(|p| p.id)
-        .zip(inputs.iter().cloned())
+        .zip(inputs.iter().map(|t| vec![t.clone()]))
         .collect();
+    let atom = |env: &HashMap<u32, Vec<Tensor>>, a: &Expr| match a.kind() {
+        ExprKind::Var(v) => env[&v.id].clone(),
+        ExprKind::Constant(t) => vec![t.clone()],
+        other => panic!("unsupported member argument {other:?}"),
+    };
     let mut cur = func.body.clone();
-    loop {
-        match cur.kind() {
-            ExprKind::Let { var, value, body } => {
+    while let ExprKind::Let { var, value, body } = cur.kind() {
+        let out = match value.kind() {
+            ExprKind::TupleGet(t, k) => vec![atom(&env, t)[*k].clone()],
+            ExprKind::Tuple(fields) => fields.iter().map(|f| atom(&env, f).remove(0)).collect(),
+            _ => {
                 let (name, args, attrs) = value.as_op_call().expect("op call member");
-                let args: Vec<Tensor> = args
-                    .iter()
-                    .map(|a| match a.kind() {
-                        ExprKind::Var(v) => env[&v.id].clone(),
-                        ExprKind::Constant(t) => t.clone(),
-                        other => panic!("unsupported member argument {other:?}"),
-                    })
-                    .collect();
-                let out = (op::lookup(name).expect("registered op").execute)(&args, attrs)
-                    .unwrap_or_else(|e| panic!("registry {name}: {e}"));
-                env.insert(var.id, out.into_iter().next().expect("one output"));
-                cur = body.clone();
+                let args: Vec<Tensor> = args.iter().map(|a| atom(&env, a).remove(0)).collect();
+                (op::lookup(name).expect("registered op").execute)(&args, attrs)
+                    .unwrap_or_else(|e| panic!("registry {name}: {e}"))
             }
-            ExprKind::Var(v) => return env[&v.id].clone(),
-            other => panic!("unsupported result {other:?}"),
-        }
+        };
+        env.insert(var.id, out);
+        cur = body.clone();
     }
+    atom(&env, &cur)
 }
 
 /// Edge inputs: signed zeros, NaN, infinities, subnormals, the extremes,
@@ -162,9 +166,13 @@ impl Group {
     }
 
     fn member(&mut self, op: &str, args: Vec<Expr>) -> Expr {
+        self.member_with(op, args, Attrs::new())
+    }
+
+    fn member_with(&mut self, op: &str, args: Vec<Expr>, attrs: Attrs) -> Expr {
         let v = Var::fresh("m", Type::Unknown);
         self.members
-            .push((v.clone(), Expr::call_op(op, args, Attrs::new())));
+            .push((v.clone(), Expr::call_op(op, args, attrs)));
         v.to_expr()
     }
 
@@ -215,9 +223,34 @@ impl Group {
         }
     }
 
+    /// A `tuple_get` binding: field `k` of `tuple`.
+    fn field(&mut self, tuple: &Expr, k: usize) -> Expr {
+        let v = Var::fresh("f", Type::Unknown);
+        self.members
+            .push((v.clone(), Expr::tuple_get(tuple.clone(), k)));
+        v.to_expr()
+    }
+
+    /// The group ending in its last member.
     fn finish(self) -> (Function, Vec<Tensor>) {
-        let (last, _) = self.members.last().expect("at least one member");
-        let mut body = last.to_expr();
+        let last = self
+            .members
+            .last()
+            .expect("at least one member")
+            .0
+            .to_expr();
+        self.finish_with(vec![last])
+    }
+
+    /// The group ending in `outputs`: one value, or a tuple of them.
+    fn finish_with(mut self, outputs: Vec<Expr>) -> (Function, Vec<Tensor>) {
+        let mut body = if let [one] = &outputs[..] {
+            one.clone()
+        } else {
+            let r = Var::fresh("outs", Type::Unknown);
+            self.members.push((r.clone(), Expr::tuple(outputs)));
+            r.to_expr()
+        };
         for (var, value) in self.members.into_iter().rev() {
             body = Expr::let_(var, value, body);
         }
@@ -228,23 +261,32 @@ impl Group {
 /// Compile the group, run it, and hold it to the oracle bit for bit.
 fn assert_matches_oracle(group: Group, ctx: &str) {
     let (func, inputs) = group.finish();
-    let kernel = Kernel::from_primitive(&func).expect("compile fused group");
-    let got = kernel.invoke(&inputs).expect("run fused kernel");
-    let want = eval_flat_body(&func, &inputs);
+    assert_function_matches_oracle(&func, &inputs, ctx);
+}
+
+/// Compile `func`, run it on `inputs`, and hold every output to the oracle
+/// bit for bit.
+fn assert_function_matches_oracle(func: &Function, inputs: &[Tensor], ctx: &str) {
+    let kernel = Kernel::from_primitive(func).expect("compile fused group");
+    let got = kernel.invoke(inputs).expect("run fused kernel");
+    let want = eval_flat_body(func, inputs);
     let ctx = format!("{ctx} {}", kernel.name());
-    assert_eq!(got.len(), 1, "{ctx}: one output");
-    assert_eq!(got[0].dims(), want.dims(), "{ctx}: dims");
-    let (got, want) = (got[0].as_f32().unwrap(), want.as_f32().unwrap());
-    for (i, (g, w)) in got.iter().zip(want).enumerate() {
-        // NaN matches NaN: which operand's payload and sign a binary op
-        // propagates is left open by IEEE 754, and the compiler may commute
-        // `x + y`, so the registry's own loops do not pin it either.
-        assert!(
-            g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
-            "{ctx}: [{i}] got {g:e} ({:#010x}) want {w:e} ({:#010x})",
-            g.to_bits(),
-            w.to_bits()
-        );
+    assert_eq!(got.len(), want.len(), "{ctx}: output count");
+    for (o, (got, want)) in got.iter().zip(&want).enumerate() {
+        assert_eq!(got.dims(), want.dims(), "{ctx}: output {o} dims");
+        let (got, want) = (got.as_f32().unwrap(), want.as_f32().unwrap());
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            // NaN matches NaN: which operand's payload and sign a binary op
+            // propagates is left open by IEEE 754, and the compiler may
+            // commute `x + y`, so the registry's own loops do not pin it
+            // either.
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{ctx}: output {o} [{i}] got {g:e} ({:#010x}) want {w:e} ({:#010x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
     }
 }
 
@@ -319,6 +361,79 @@ proptest! {
     }
 }
 
+/// A DAG group: an optional `dense` anchor and elementwise members over
+/// `[m, parts·h]` (a row bias among their operands), a `split` of the
+/// biased value into `parts` along the last axis, elementwise members over the
+/// `[m, h]` parts (read in place) with row and full operands, and several
+/// outputs: post-split members, and sometimes a pre-split member or a part.
+fn dag_group(g: &mut Gen, m: usize) -> (Function, Vec<Tensor>) {
+    let parts = g.rng.gen_range(2..=4usize);
+    let h = g.rng.gen_range(1..=40usize);
+    let wide = [m, parts * h];
+    let mut group = Group::default();
+    let first = if g.rng.gen_bool(0.6) {
+        let k = g.rng.gen_range(1..=8usize);
+        let x = group.param(g.tensor(&[m, k]));
+        let w = Expr::constant(g.tensor(&[parts * h, k]));
+        group.member("dense", vec![x, w])
+    } else {
+        let a = group.param(g.tensor(&wide));
+        let b = group.param(g.tensor(&wide));
+        group.member("add", vec![a, b])
+    };
+    let mut pre = vec![first];
+    let bias = group.param(g.tensor(&[parts * h]));
+    // The split reads a rank-2 value; later pre-split members may be
+    // outputs.
+    let biased = group.member("add", vec![pre[0].clone(), bias]);
+    pre.push(biased.clone());
+    let before = group.members.len();
+    let n = g.rng.gen_range(0..=2usize);
+    group.chain(g, &wide, n, pre.clone());
+    pre.extend(group.members[before..].iter().map(|(v, _)| v.to_expr()));
+    let tuple = group.member_with(
+        "split",
+        vec![biased],
+        Attrs::new()
+            .with("parts", AttrValue::Int(parts as i64))
+            .with("axis", AttrValue::Int(1)),
+    );
+    let fields: Vec<Expr> = (0..parts).map(|k| group.field(&tuple, k)).collect();
+    let before = group.members.len();
+    let n = g.rng.gen_range(1..=6usize);
+    group.chain(g, &[m, h], n, fields.clone());
+    let post: Vec<Expr> = group.members[before..]
+        .iter()
+        .map(|(v, _)| v.to_expr())
+        .collect();
+    let mut outputs = vec![post[post.len() - 1].clone()];
+    if post.len() > 1 && g.rng.gen_bool(0.7) {
+        outputs.push(post[g.rng.gen_range(0..post.len() - 1)].clone());
+    }
+    if g.rng.gen_bool(0.3) {
+        outputs.push(pre[g.rng.gen_range(1..pre.len())].clone());
+    }
+    if g.rng.gen_bool(0.3) {
+        outputs.push(fields[g.rng.gen_range(0..parts)].clone());
+    }
+    group.finish_with(outputs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn dag_groups_take_the_strip_route_and_match(seed in 0u64..u64::MAX) {
+        let mut g = Gen::new(seed);
+        for m in [1usize, 3, 8] {
+            let (func, inputs) = dag_group(&mut g, m);
+            let before = fallback_invocations();
+            assert_function_matches_oracle(&func, &inputs, &format!("seed {seed} m {m}"));
+            prop_assert_eq!(fallback_invocations(), before, "seed {} m {}: fell back", seed, m);
+        }
+    }
+}
+
 /// Every edge value against every other, through every op, over lengths
 /// on both sides of the strip width.
 #[test]
@@ -371,6 +486,6 @@ fn integer_groups_fall_back() {
         .unwrap()
         .invoke(&inputs)
         .unwrap();
-    assert_eq!(got[0], eval_flat_body(&func, &inputs));
+    assert_eq!(got, eval_flat_body(&func, &inputs));
     assert_eq!(got[0].as_i64().unwrap(), &[20, 15, 18]);
 }

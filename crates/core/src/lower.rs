@@ -692,10 +692,11 @@ impl<'m> Lowering<'m> {
                 in_dtypes,
             }),
             ExprKind::Func(f) => {
-                let (num_params, members) = self.fused_members(f)?;
+                let (num_params, members, outputs) = self.fused_members(f)?;
                 Ok(KernelDesc::ShapeFuncFused {
                     num_params,
                     members,
+                    outputs,
                     in_dtypes,
                 })
             }
@@ -706,55 +707,74 @@ impl<'m> Lowering<'m> {
     }
 
     fn fused_desc(&mut self, f: &Function) -> Result<KernelDesc> {
-        let (num_params, members) = self.fused_members(f)?;
+        let (num_params, members, outputs) = self.fused_members(f)?;
         Ok(KernelDesc::Fused {
             num_params,
             members,
+            outputs,
         })
     }
 
-    fn fused_members(&mut self, f: &Function) -> Result<(u32, Vec<FusedMember>)> {
-        let param_pos: HashMap<u32, u32> = f
+    /// A primitive body in descriptor form: its operator members, with
+    /// `tuple_get` bindings folded into [`MemberArg::Field`] operands, and
+    /// its outputs (the result, or the fields of a result tuple).
+    fn fused_members(&mut self, f: &Function) -> Result<(u32, Vec<FusedMember>, Vec<MemberArg>)> {
+        let mut env: HashMap<u32, MemberArg> = f
             .params
             .iter()
             .enumerate()
-            .map(|(i, p)| (p.id, i as u32))
+            .map(|(i, p)| (p.id, MemberArg::Param(i as u32)))
             .collect();
-        let mut member_pos: HashMap<u32, u32> = HashMap::new();
+        let mut tuples: HashMap<u32, Vec<MemberArg>> = HashMap::new();
         let mut members = Vec::new();
+        let arg = |this: &mut Self, env: &HashMap<u32, MemberArg>, a: &Expr| match a.kind() {
+            ExprKind::Var(v) => env
+                .get(&v.id)
+                .cloned()
+                .ok_or_else(|| CompileError::msg(format!("unbound {v} in primitive"))),
+            ExprKind::Constant(t) => Ok(MemberArg::Const(this.intern_constant(a.ref_id(), t, 0))),
+            other => Err(CompileError::msg(format!(
+                "unsupported primitive argument {other:?}"
+            ))),
+        };
         let mut cur = f.body.clone();
         while let ExprKind::Let { var, value, body } = cur.kind() {
-            let (op, op_args, op_attrs) = value
-                .as_op_call()
-                .ok_or_else(|| CompileError::msg("fused primitive member must be an op call"))?;
-            let args = op_args
-                .iter()
-                .map(|a| match a.kind() {
-                    ExprKind::Var(v) => {
-                        if let Some(&p) = param_pos.get(&v.id) {
-                            Ok(MemberArg::Param(p))
-                        } else if let Some(&m) = member_pos.get(&v.id) {
-                            Ok(MemberArg::Member(m))
-                        } else {
-                            Err(CompileError::msg(format!("unbound {v} in primitive")))
-                        }
+            match value.kind() {
+                ExprKind::TupleGet(t, k) => match arg(self, &env, t)? {
+                    MemberArg::Member(m) => {
+                        env.insert(var.id, MemberArg::Field(m, *k as u32));
                     }
-                    ExprKind::Constant(t) => {
-                        Ok(MemberArg::Const(self.intern_constant(a.ref_id(), t, 0)))
-                    }
-                    other => Err(CompileError::msg(format!(
-                        "unsupported primitive argument {other:?}"
-                    ))),
-                })
-                .collect::<Result<Vec<_>>>()?;
-            member_pos.insert(var.id, members.len() as u32);
-            members.push(FusedMember {
-                op: op.to_string(),
-                attrs: op_attrs.clone(),
-                args,
-            });
+                    _ => return Err(CompileError::msg("tuple_get of a non-member in primitive")),
+                },
+                ExprKind::Tuple(fields) => {
+                    let fields = fields
+                        .iter()
+                        .map(|x| arg(self, &env, x))
+                        .collect::<Result<Vec<_>>>()?;
+                    tuples.insert(var.id, fields);
+                }
+                _ => {
+                    let (op, op_args, op_attrs) = value.as_op_call().ok_or_else(|| {
+                        CompileError::msg("fused primitive member must be an op call")
+                    })?;
+                    let args = op_args
+                        .iter()
+                        .map(|a| arg(self, &env, a))
+                        .collect::<Result<Vec<_>>>()?;
+                    env.insert(var.id, MemberArg::Member(members.len() as u32));
+                    members.push(FusedMember {
+                        op: op.to_string(),
+                        attrs: op_attrs.clone(),
+                        args,
+                    });
+                }
+            }
             cur = body.clone();
         }
-        Ok((f.params.len() as u32, members))
+        let outputs = match cur.as_var().and_then(|v| tuples.remove(&v.id)) {
+            Some(fields) => fields,
+            None => vec![arg(self, &env, &cur)?],
+        };
+        Ok((f.params.len() as u32, members, outputs))
     }
 }

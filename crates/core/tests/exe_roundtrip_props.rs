@@ -4,8 +4,10 @@
 //! outputs to the VM running the in-memory executable.
 //!
 //! Programs are random chains of unary ops, broadcast adds against
-//! random constants, and dense layers with random weights over a
-//! dynamic-row input — enough to exercise the varint bytecode encoder
+//! random constants, dense layers with random weights, and LSTM-style
+//! cells (a fused group reading `split` parts in place and exporting two
+//! values; the program then returns a tuple) over a dynamic-row input —
+//! enough to exercise the varint bytecode encoder
 //! across register counts, the constant-pool tensor codec (including
 //! non-finite-free but otherwise arbitrary f32 bit patterns from the
 //! rng), kernel descriptors for fused and shape-function entries, and
@@ -13,10 +15,10 @@
 
 use nimble_core::{compile, CompileOptions};
 use nimble_device::DeviceSet;
-use nimble_ir::attrs::Attrs;
+use nimble_ir::attrs::{AttrValue, Attrs};
 use nimble_ir::builder::FunctionBuilder;
 use nimble_ir::types::TensorType;
-use nimble_ir::Module;
+use nimble_ir::{Expr, Module};
 use nimble_tensor::{DType, Tensor};
 use nimble_vm::{Executable, Object, VirtualMachine};
 use proptest::prelude::*;
@@ -32,21 +34,27 @@ enum Stage {
     Sigmoid,
     Neg,
     AddConst,
-    Dense { out: usize },
+    Dense {
+        out: usize,
+    },
+    /// An LSTM-style cell keeping the width: gates from a dense, split in
+    /// four; its `c` is returned beside the final value.
+    Cell,
 }
 
 fn decode_stages(codes: &[u8], rng: &mut rand::rngs::StdRng) -> Vec<Stage> {
     codes
         .iter()
-        .map(|c| match c % 6 {
+        .map(|c| match c % 7 {
             0 => Stage::Relu,
             1 => Stage::Tanh,
             2 => Stage::Sigmoid,
             3 => Stage::Neg,
             4 => Stage::AddConst,
-            _ => Stage::Dense {
+            5 => Stage::Dense {
                 out: rng.gen_range(1usize..7),
             },
+            _ => Stage::Cell,
         })
         .collect()
 }
@@ -59,6 +67,7 @@ fn build_module(stages: &[Stage], cols: usize, rng: &mut rand::rngs::StdRng) -> 
         TensorType::with_any(&[None, Some(cols as u64)], DType::F32),
     );
     let mut width = cols;
+    let mut cell_c = None;
     for stage in stages {
         x = match stage {
             Stage::Relu => fb.call("relu", vec![x], Attrs::new()),
@@ -74,10 +83,40 @@ fn build_module(stages: &[Stage], cols: usize, rng: &mut rand::rngs::StdRng) -> 
                 width = *out;
                 fb.call("dense", vec![x, w], Attrs::new())
             }
+            Stage::Cell => {
+                let w = fb.constant(Tensor::rand_f32(rng, &[4 * width, width], 0.8));
+                let b = fb.constant(Tensor::rand_f32(rng, &[4 * width], 0.5));
+                let gates = fb.call("dense", vec![x.clone(), w], Attrs::new());
+                let gates = fb.call("add", vec![gates, b], Attrs::new());
+                let split = Attrs::new()
+                    .with("parts", AttrValue::Int(4))
+                    .with("axis", AttrValue::Int(1));
+                let parts = fb.call("split", vec![gates], split);
+                let mut gate = |k: usize, op: &str| {
+                    let part = fb.bind("part", Expr::tuple_get(parts.clone(), k));
+                    fb.call(op, vec![part], Attrs::new())
+                };
+                let (i, f, u, o) = (
+                    gate(0, "sigmoid"),
+                    gate(1, "sigmoid"),
+                    gate(2, "tanh"),
+                    gate(3, "sigmoid"),
+                );
+                let fx = fb.call("mul", vec![f, x], Attrs::new());
+                let iu = fb.call("mul", vec![i, u], Attrs::new());
+                let c = fb.call("add", vec![fx, iu], Attrs::new());
+                let tc = fb.call("tanh", vec![c.clone()], Attrs::new());
+                cell_c = Some(c);
+                fb.call("mul", vec![o, tc], Attrs::new())
+            }
         };
     }
+    let result = match cell_c {
+        Some(c) => Expr::tuple(vec![x, c]),
+        None => x,
+    };
     let mut m = Module::new();
-    m.add_function("main", fb.finish(x));
+    m.add_function("main", fb.finish(result));
     m
 }
 
@@ -91,14 +130,25 @@ fn unique_artifact_path() -> std::path::PathBuf {
 }
 
 fn run_f32(vm: &VirtualMachine, input: &Tensor) -> Vec<u32> {
-    vm.run("main", vec![Object::tensor(input.clone())])
-        .expect("run")
-        .wait_tensor()
-        .expect("tensor result")
-        .as_f32()
-        .expect("f32 output")
+    let out = vm
+        .run("main", vec![Object::tensor(input.clone())])
+        .expect("run");
+    let fields = match out.as_adt() {
+        Ok(tuple) => tuple.fields.clone(),
+        Err(_) => vec![out.clone()],
+    };
+    fields
         .iter()
-        .map(|v| v.to_bits())
+        .flat_map(|f| {
+            let t = f.wait_tensor().expect("tensor result");
+            let bits: Vec<u32> = t
+                .as_f32()
+                .expect("f32 output")
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            bits
+        })
         .collect()
 }
 
@@ -108,7 +158,7 @@ proptest! {
     #[test]
     fn reloaded_executable_is_bitwise_identical(
         seed in 0u64..1_000_000,
-        stage_codes in proptest::collection::vec(0u8..6, 1..7),
+        stage_codes in proptest::collection::vec(0u8..7, 1..7),
         cols in 1usize..6,
         rows in 1usize..5,
         fuse in proptest::arbitrary::any::<bool>(),

@@ -13,17 +13,18 @@
 //! | `/status`      | effective `NIMBLE_*` knobs, then the [`ServeStats`](crate::ServeStats) table |
 //!
 //! Built on `std::net::TcpListener` only — no HTTP library. The server
-//! reads just the request line (method + path), answers one response per
-//! connection (`Connection: close`), and ignores headers and bodies.
+//! reads just the request line (method + path; at most 8 KiB, within one
+//! 500 ms deadline), answers one response per connection
+//! (`Connection: close`), and ignores headers and bodies.
 //! Intended for `curl` and scrapers on a trusted interface, not the
 //! public internet.
 
 use crate::router::Router;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The debug HTTP server; listens until dropped (or [`stop`]ped).
 ///
@@ -63,7 +64,7 @@ impl DebugServer {
                     let Ok(stream) = conn else { continue };
                     // One short-lived connection at a time: every route
                     // renders from in-memory state, so even a slow client
-                    // can stall the loop only for the read timeout.
+                    // can stall the loop only until the request deadline.
                     let _ = handle_conn(stream, &router);
                 }
             })
@@ -101,13 +102,43 @@ impl Drop for DebugServer {
     }
 }
 
-fn handle_conn(stream: TcpStream, router: &Arc<Router>) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_millis(500)))?;
+/// The longest request line the server reads.
+const MAX_REQUEST_LINE: u64 = 8 * 1024;
+/// How long a client has to send its whole request line.
+const REQUEST_DEADLINE: Duration = Duration::from_millis(500);
+
+/// Socket reads sharing one deadline: each read waits only for what is
+/// left of it, so a client trickling bytes cannot hold the server thread
+/// past the deadline.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.at.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::TimedOut,
+                "request line deadline passed",
+            ));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+fn handle_conn(mut stream: TcpStream, router: &Arc<Router>) -> std::io::Result<()> {
     stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
-    let mut stream = reader.into_inner();
+    let deadline = Deadline {
+        stream: &stream,
+        at: Instant::now() + REQUEST_DEADLINE,
+    };
+    let mut raw = Vec::new();
+    BufReader::new(deadline.take(MAX_REQUEST_LINE)).read_until(b'\n', &mut raw)?;
+    let line = String::from_utf8_lossy(&raw);
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("");
     let path = parts.next().unwrap_or("");
@@ -262,5 +293,50 @@ mod tests {
         assert_eq!(code, 404);
         let (code, _) = get(addr, "/traces/999999999");
         assert_eq!(code, 404);
+    }
+
+    #[test]
+    fn trickling_client_is_cut_off_and_the_server_recovers() {
+        let registry = Arc::new(crate::registry::ModelRegistry::new(
+            crate::registry::RegistryConfig::default(),
+        ));
+        let router = Arc::new(Router::new(
+            registry,
+            crate::router::RouterConfig::default(),
+        ));
+        let server = DebugServer::spawn(Arc::clone(&router), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        // One byte every ~20 ms and never a newline: every read succeeds,
+        // so only the request deadline can end the connection.
+        let mut slow = TcpStream::connect(addr).unwrap();
+        slow.set_read_timeout(Some(Duration::from_millis(20)))
+            .unwrap();
+        let start = Instant::now();
+        let closed = loop {
+            if start.elapsed() > Duration::from_secs(3) {
+                break false;
+            }
+            if slow.write_all(b"G").is_err() {
+                break true;
+            }
+            match slow.read(&mut [0u8; 64]) {
+                Ok(0) => break true,
+                Ok(_) => {}
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) => {}
+                Err(_) => break true,
+            }
+        };
+        let took = start.elapsed();
+        assert!(closed, "a trickling client held the server for {took:?}");
+        assert!(
+            took < Duration::from_millis(1200),
+            "cut off only after {took:?}"
+        );
+        let (code, _) = get(addr, "/status");
+        assert_eq!(code, 200);
     }
 }

@@ -626,4 +626,39 @@ mod tests {
         assert_eq!(run(&reg.get("m").unwrap(), 0.0), vec![5.0, 5.0]);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn stale_format_artifact_is_rejected_and_recompiled() {
+        let dir = temp_dir("stale");
+        let cfg = RegistryConfig {
+            cache_dir: Some(dir.clone()),
+            ..RegistryConfig::default()
+        };
+        let opts = CompileOptions::default();
+        let module = add_k_module(1.0);
+        let reg = ModelRegistry::new(cfg);
+        let path = reg
+            .artifact_path("m", "v1", fingerprint(&module, &opts))
+            .expect("cache dir set");
+        // The key's path holding a format-1 artifact: what a compiler from
+        // before fused kernels listed their outputs would have cached.
+        let (exe, _) = compile(&module, &opts).unwrap();
+        let mut stale = exe.save().to_vec();
+        stale[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, &stale).unwrap();
+        let err = Executable::load_from(&path).expect_err("format 1 is rejected");
+        assert!(err.to_string().contains("format version 1"), "{err}");
+        let rep = reg.register("m", "v1", &module, &opts).unwrap();
+        assert!(
+            !rep.from_cache,
+            "a stale artifact is recompiled, not served"
+        );
+        assert_eq!(run(&reg.get("m").unwrap(), 3.0), vec![4.0, 4.0]);
+        assert!(
+            Executable::load_from(&path).is_ok(),
+            "the artifact was overwritten in the current format"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

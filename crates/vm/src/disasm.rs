@@ -2,7 +2,7 @@
 //! ("a compact bytecode, which is easy for users to read and modify" —
 //! Section 5.1).
 
-use crate::exe::{Executable, KernelDesc};
+use crate::exe::{Executable, FusedMember, KernelDesc, MemberArg};
 use crate::isa::Instruction;
 use std::fmt::Write;
 
@@ -92,6 +92,28 @@ pub fn disasm_instruction(inst: &Instruction) -> String {
     }
 }
 
+/// A fused body as `op+op+… -> m3` (one output) or `-> (m7, m12.1)`.
+fn fused_summary(members: &[FusedMember], outputs: &[MemberArg]) -> String {
+    let ops = members
+        .iter()
+        .map(|m| m.op.as_str())
+        .collect::<Vec<_>>()
+        .join("+");
+    let outs: Vec<String> = outputs
+        .iter()
+        .map(|o| match o {
+            MemberArg::Param(i) => format!("p{i}"),
+            MemberArg::Member(i) => format!("m{i}"),
+            MemberArg::Field(i, k) => format!("m{i}.{k}"),
+            MemberArg::Const(i) => format!("const[{i}]"),
+        })
+        .collect();
+    match &outs[..] {
+        [one] => format!("{ops} -> {one}"),
+        many => format!("{ops} -> ({})", many.join(", ")),
+    }
+}
+
 fn kernel_summary(desc: &KernelDesc) -> String {
     match desc {
         KernelDesc::Op { name, symbolic, .. } => {
@@ -101,23 +123,13 @@ fn kernel_summary(desc: &KernelDesc) -> String {
                 format!("op {name}")
             }
         }
-        KernelDesc::Fused { members, .. } => format!(
-            "fused {}",
-            members
-                .iter()
-                .map(|m| m.op.as_str())
-                .collect::<Vec<_>>()
-                .join("+")
-        ),
+        KernelDesc::Fused {
+            members, outputs, ..
+        } => format!("fused {}", fused_summary(members, outputs)),
         KernelDesc::ShapeFuncOp { name, .. } => format!("shape_func {name}"),
-        KernelDesc::ShapeFuncFused { members, .. } => format!(
-            "shape_func fused {}",
-            members
-                .iter()
-                .map(|m| m.op.as_str())
-                .collect::<Vec<_>>()
-                .join("+")
-        ),
+        KernelDesc::ShapeFuncFused {
+            members, outputs, ..
+        } => format!("shape_func fused {}", fused_summary(members, outputs)),
     }
 }
 
@@ -214,6 +226,29 @@ mod tests {
         assert!(text.contains("InvokePacked kernel[0]($r0, $r1, $r3) outs=1 dev=0"));
         assert!(text.contains("Ret $r3"));
         assert_eq!(text.lines().count(), 11);
+    }
+
+    #[test]
+    fn fused_kernels_list_their_outputs() {
+        let member = |op: &str, args| FusedMember {
+            op: op.into(),
+            attrs: Attrs::new(),
+            args,
+        };
+        let mut exe = sample();
+        exe.kernels = vec![KernelDesc::Fused {
+            num_params: 1,
+            members: vec![
+                member("split", vec![MemberArg::Param(0)]),
+                member("tanh", vec![MemberArg::Field(0, 1)]),
+            ],
+            outputs: vec![MemberArg::Member(1), MemberArg::Field(0, 0)],
+        }];
+        let text = disassemble(&exe);
+        assert!(
+            text.contains("kernel[0] = fused split+tanh -> (m1, m0.0)"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -26,6 +26,8 @@ pub enum MemberArg {
     Param(u32),
     /// The output of an earlier member.
     Member(u32),
+    /// Field `.1` of the earlier multi-output member `.0` (a `split` part).
+    Field(u32, u32),
     /// An entry of the executable's constant pool.
     Const(u32),
 }
@@ -59,6 +61,8 @@ pub enum KernelDesc {
         num_params: u32,
         /// Member operations in execution order.
         members: Vec<FusedMember>,
+        /// The kernel's outputs, in order: members or fields of members.
+        outputs: Vec<MemberArg>,
     },
     /// The shape function of a single operator.
     ShapeFuncOp {
@@ -75,15 +79,20 @@ pub enum KernelDesc {
         num_params: u32,
         /// Member operations.
         members: Vec<FusedMember>,
+        /// The primitive's outputs, as for [`KernelDesc::Fused`].
+        outputs: Vec<MemberArg>,
         /// Dtypes of the primitive's parameters.
         in_dtypes: Vec<DType>,
     },
 }
 
-/// Rebuild an IR function from a fused descriptor (fresh variables).
+/// Rebuild an IR function from a fused descriptor (fresh variables): the
+/// members in order, each field read bound right after its member, ending
+/// in the one output or a tuple of the outputs.
 fn rebuild_function(
     num_params: u32,
     members: &[FusedMember],
+    outputs: &[MemberArg],
     constants: &[Tensor],
 ) -> Result<Function> {
     let params: Vec<Var> = (0..num_params)
@@ -92,40 +101,66 @@ fn rebuild_function(
     let member_vars: Vec<Var> = (0..members.len())
         .map(|i| Var::fresh(&format!("m{i}"), Type::Unknown))
         .collect();
-    let result = member_vars
-        .last()
-        .ok_or_else(|| VmError::msg("fused kernel with no members"))?
-        .to_expr();
-    let mut body = result;
-    for (i, m) in members.iter().enumerate().rev() {
-        let args: Vec<Expr> = m
-            .args
-            .iter()
-            .map(|a| match a {
-                MemberArg::Param(p) => params
-                    .get(*p as usize)
-                    .map(|v| v.to_expr())
-                    .ok_or_else(|| VmError::msg("fused param index out of range")),
-                MemberArg::Member(j) => member_vars
-                    .get(*j as usize)
-                    .map(|v| v.to_expr())
-                    .ok_or_else(|| VmError::msg("fused member index out of range")),
-                MemberArg::Const(c) => constants
-                    .get(*c as usize)
-                    .map(|t| Expr::constant(t.clone()))
-                    .ok_or_else(|| VmError::msg("fused constant index out of range")),
-            })
-            .collect::<Result<_>>()?;
-        body = Expr::let_(
+    let mut fields: std::collections::BTreeMap<(u32, u32), Var> = Default::default();
+    for a in members.iter().flat_map(|m| &m.args).chain(outputs) {
+        if let MemberArg::Field(j, k) = *a {
+            fields
+                .entry((j, k))
+                .or_insert_with(|| Var::fresh(&format!("m{j}_{k}"), Type::Unknown));
+        }
+    }
+    let atom = |a: &MemberArg| -> Result<Expr> {
+        match a {
+            MemberArg::Param(p) => params
+                .get(*p as usize)
+                .map(|v| v.to_expr())
+                .ok_or_else(|| VmError::msg("fused param index out of range")),
+            MemberArg::Member(j) => member_vars
+                .get(*j as usize)
+                .map(|v| v.to_expr())
+                .ok_or_else(|| VmError::msg("fused member index out of range")),
+            MemberArg::Field(j, k) => Ok(fields[&(*j, *k)].to_expr()),
+            MemberArg::Const(c) => constants
+                .get(*c as usize)
+                .map(|t| Expr::constant(t.clone()))
+                .ok_or_else(|| VmError::msg("fused constant index out of range")),
+        }
+    };
+    let mut bindings: Vec<(Var, Expr)> = Vec::new();
+    for (i, m) in members.iter().enumerate() {
+        let args: Vec<Expr> = m.args.iter().map(&atom).collect::<Result<_>>()?;
+        bindings.push((
             member_vars[i].clone(),
             Expr::new(nimble_ir::ExprKind::Call {
                 callee: Expr::op(&m.op),
                 args,
                 attrs: m.attrs.clone(),
             }),
-            body,
-        );
+        ));
+        for ((_, k), v) in fields.range((i as u32, 0)..=(i as u32, u32::MAX)) {
+            bindings.push((
+                v.clone(),
+                Expr::tuple_get(member_vars[i].to_expr(), *k as usize),
+            ));
+        }
     }
+    let body = match outputs {
+        [] => return Err(VmError::msg("fused kernel with no outputs")),
+        [one] => atom(one)?,
+        many => {
+            let r = Var::fresh("outs", Type::Unknown);
+            let tuple = Expr::tuple(many.iter().map(&atom).collect::<Result<_>>()?);
+            bindings.push((r.clone(), tuple));
+            r.to_expr()
+        }
+    };
+    if members.is_empty() {
+        return Err(VmError::msg("fused kernel with no members"));
+    }
+    let body = bindings
+        .into_iter()
+        .rev()
+        .fold(body, |body, (v, e)| Expr::let_(v, e, body));
     Ok(Function::new(params, body, Type::Unknown))
 }
 
@@ -144,8 +179,9 @@ impl KernelDesc {
             KernelDesc::Fused {
                 num_params,
                 members,
+                outputs,
             } => {
-                let f = rebuild_function(*num_params, members, constants)?;
+                let f = rebuild_function(*num_params, members, outputs, constants)?;
                 Ok(Kernel::from_primitive(&f)?)
             }
             KernelDesc::ShapeFuncOp {
@@ -159,9 +195,10 @@ impl KernelDesc {
             KernelDesc::ShapeFuncFused {
                 num_params,
                 members,
+                outputs,
                 in_dtypes,
             } => {
-                let f = rebuild_function(*num_params, members, constants)?;
+                let f = rebuild_function(*num_params, members, outputs, constants)?;
                 let sf = ShapeFuncKernel::from_primitive(&f, in_dtypes.clone())?;
                 Ok(wrap_shape_func(sf))
             }
@@ -181,6 +218,11 @@ fn wrap_shape_func(sf: ShapeFuncKernel) -> Kernel {
     let name = format!("shape_func({})", sf.name());
     Kernel::new(&name, move |inputs| sf.invoke(inputs))
 }
+
+/// The serialized executable format version. Version 2 gave fused kernels
+/// an explicit output list and field operands; artifacts of other versions
+/// are rejected rather than reinterpreted.
+const FORMAT_VERSION: u32 = 2;
 
 /// A lowered function: named bytecode with a register budget.
 #[derive(Debug, Clone, PartialEq)]
@@ -323,8 +365,8 @@ impl Executable {
     pub fn save(&self) -> Bytes {
         let mut buf = BytesMut::new();
         buf.put_slice(b"NMBL");
-        buf.put_u32_le(1); // format version
-                           // Constants.
+        buf.put_u32_le(FORMAT_VERSION);
+        // Constants.
         buf.put_u32_le(self.constants.len() as u32);
         for (t, dev) in self
             .constants
@@ -363,8 +405,11 @@ impl Executable {
             return Err(VmError::msg("bad executable magic"));
         }
         let version = buf.get_u32_le();
-        if version != 1 {
-            return Err(VmError::msg(format!("unsupported version {version}")));
+        if version != FORMAT_VERSION {
+            return Err(VmError::msg(format!(
+                "unsupported executable format version {version} (this build reads \
+                 {FORMAT_VERSION})"
+            )));
         }
         let n_const = checked_len(&mut buf)?;
         let mut constants = Vec::with_capacity(n_const);
@@ -589,52 +634,68 @@ fn get_attrs(buf: &mut Bytes) -> Result<Attrs> {
     Ok(attrs)
 }
 
-fn put_members(buf: &mut BytesMut, members: &[FusedMember]) {
-    buf.put_u32_le(members.len() as u32);
-    for m in members {
-        put_string(buf, &m.op);
-        put_attrs(buf, &m.attrs);
-        buf.put_u32_le(m.args.len() as u32);
-        for a in &m.args {
-            match a {
-                MemberArg::Param(i) => {
-                    buf.put_u8(0);
-                    buf.put_u32_le(*i);
-                }
-                MemberArg::Member(i) => {
-                    buf.put_u8(1);
-                    buf.put_u32_le(*i);
-                }
-                MemberArg::Const(i) => {
-                    buf.put_u8(2);
-                    buf.put_u32_le(*i);
-                }
+fn put_member_args(buf: &mut BytesMut, args: &[MemberArg]) {
+    buf.put_u32_le(args.len() as u32);
+    for a in args {
+        match a {
+            MemberArg::Param(i) => {
+                buf.put_u8(0);
+                buf.put_u32_le(*i);
+            }
+            MemberArg::Member(i) => {
+                buf.put_u8(1);
+                buf.put_u32_le(*i);
+            }
+            MemberArg::Const(i) => {
+                buf.put_u8(2);
+                buf.put_u32_le(*i);
+            }
+            MemberArg::Field(i, k) => {
+                buf.put_u8(3);
+                buf.put_u32_le(*i);
+                buf.put_u32_le(*k);
             }
         }
     }
 }
 
-fn get_members(buf: &mut Bytes) -> Result<Vec<FusedMember>> {
+fn get_member_args(buf: &mut Bytes) -> Result<Vec<MemberArg>> {
+    let n = checked_len(buf)?;
+    let mut args = Vec::with_capacity(n);
+    for _ in 0..n {
+        let tag = get_u8(buf)?;
+        let idx = get_u32(buf)?;
+        args.push(match tag {
+            0 => MemberArg::Param(idx),
+            1 => MemberArg::Member(idx),
+            2 => MemberArg::Const(idx),
+            3 => MemberArg::Field(idx, get_u32(buf)?),
+            other => return Err(VmError::msg(format!("bad member arg tag {other}"))),
+        });
+    }
+    Ok(args)
+}
+
+fn put_members(buf: &mut BytesMut, members: &[FusedMember], outputs: &[MemberArg]) {
+    buf.put_u32_le(members.len() as u32);
+    for m in members {
+        put_string(buf, &m.op);
+        put_attrs(buf, &m.attrs);
+        put_member_args(buf, &m.args);
+    }
+    put_member_args(buf, outputs);
+}
+
+fn get_members(buf: &mut Bytes) -> Result<(Vec<FusedMember>, Vec<MemberArg>)> {
     let n = checked_len(buf)?;
     let mut members = Vec::with_capacity(n);
     for _ in 0..n {
         let op = get_string(buf)?;
         let attrs = get_attrs(buf)?;
-        let n_args = checked_len(buf)?;
-        let mut args = Vec::with_capacity(n_args);
-        for _ in 0..n_args {
-            let tag = get_u8(buf)?;
-            let idx = get_u32(buf)?;
-            args.push(match tag {
-                0 => MemberArg::Param(idx),
-                1 => MemberArg::Member(idx),
-                2 => MemberArg::Const(idx),
-                other => return Err(VmError::msg(format!("bad member arg tag {other}"))),
-            });
-        }
+        let args = get_member_args(buf)?;
         members.push(FusedMember { op, attrs, args });
     }
-    Ok(members)
+    Ok((members, get_member_args(buf)?))
 }
 
 fn put_dtypes(buf: &mut BytesMut, dts: &[DType]) {
@@ -668,10 +729,11 @@ fn put_kernel_desc(buf: &mut BytesMut, k: &KernelDesc) {
         KernelDesc::Fused {
             num_params,
             members,
+            outputs,
         } => {
             buf.put_u8(1);
             buf.put_u32_le(*num_params);
-            put_members(buf, members);
+            put_members(buf, members, outputs);
         }
         KernelDesc::ShapeFuncOp {
             name,
@@ -686,11 +748,12 @@ fn put_kernel_desc(buf: &mut BytesMut, k: &KernelDesc) {
         KernelDesc::ShapeFuncFused {
             num_params,
             members,
+            outputs,
             in_dtypes,
         } => {
             buf.put_u8(3);
             buf.put_u32_le(*num_params);
-            put_members(buf, members);
+            put_members(buf, members, outputs);
             put_dtypes(buf, in_dtypes);
         }
     }
@@ -703,20 +766,30 @@ fn get_kernel_desc(buf: &mut Bytes) -> Result<KernelDesc> {
             attrs: get_attrs(buf)?,
             symbolic: get_u8(buf)? != 0,
         },
-        1 => KernelDesc::Fused {
-            num_params: get_u32(buf)?,
-            members: get_members(buf)?,
-        },
+        1 => {
+            let num_params = get_u32(buf)?;
+            let (members, outputs) = get_members(buf)?;
+            KernelDesc::Fused {
+                num_params,
+                members,
+                outputs,
+            }
+        }
         2 => KernelDesc::ShapeFuncOp {
             name: get_string(buf)?,
             attrs: get_attrs(buf)?,
             in_dtypes: get_dtypes(buf)?,
         },
-        3 => KernelDesc::ShapeFuncFused {
-            num_params: get_u32(buf)?,
-            members: get_members(buf)?,
-            in_dtypes: get_dtypes(buf)?,
-        },
+        3 => {
+            let num_params = get_u32(buf)?;
+            let (members, outputs) = get_members(buf)?;
+            KernelDesc::ShapeFuncFused {
+                num_params,
+                members,
+                outputs,
+                in_dtypes: get_dtypes(buf)?,
+            }
+        }
         other => return Err(VmError::msg(format!("bad kernel desc tag {other}"))),
     })
 }
@@ -769,6 +842,7 @@ mod tests {
                             args: vec![MemberArg::Member(0)],
                         },
                     ],
+                    outputs: vec![MemberArg::Member(1)],
                 },
                 KernelDesc::ShapeFuncOp {
                     name: "concat".into(),
@@ -864,6 +938,7 @@ mod tests {
                 attrs: Attrs::new(),
                 args: vec![MemberArg::Param(0), MemberArg::Const(0)],
             }],
+            outputs: vec![MemberArg::Member(0)],
         };
         let k = desc.instantiate(&exe.constants).unwrap();
         let x = Tensor::from_vec_f32(vec![10.0, 10.0, 10.0], &[3]).unwrap();

@@ -215,3 +215,85 @@ fn bench_systems_cross_validate() {
     let fold = nimble::frameworks::fold::tree_lstm_forward(&model, &tree);
     assert_close(&fold, &want, 1e-4, "fold");
 }
+
+/// Records the inputs of every compute-kernel call.
+#[derive(Default)]
+struct Capture(std::sync::Mutex<Vec<(u32, Vec<Tensor>)>>);
+
+impl nimble::vm::DispatchHook for Capture {
+    fn intercept(&self, kernel: u32, inputs: &[Tensor]) -> Option<nimble::codegen::Kernel> {
+        self.0.lock().unwrap().push((kernel, inputs.to_vec()));
+        None
+    }
+}
+
+/// A `[1, n]` tensor's row repeated `m` times.
+fn repeat_rows(t: &Tensor, m: usize) -> Tensor {
+    assert_eq!(t.dims()[0], 1, "cell operands are single rows");
+    let row = t.as_f32().unwrap();
+    let data = (0..m).flat_map(|_| row.iter().copied()).collect();
+    Tensor::from_vec_f32(data, &[m, row.len()]).unwrap()
+}
+
+/// The LSTM and Tree-LSTM cells compile to fused groups whose elementwise
+/// work, `split` parts included, takes the strip route — not
+/// member-at-a-time interpretation — at one row and at eight, and every
+/// row of the eight-row run repeats the one-row run bit for bit.
+#[test]
+fn cell_groups_take_the_strip_route_at_one_and_eight_rows() {
+    use nimble::codegen::kernel::fallback_invocations;
+    let lstm = LstmModel::new(LstmConfig {
+        input: 32,
+        hidden: 32,
+        layers: 2,
+        seed: 42,
+    });
+    let tree = TreeLstmModel::new(TreeLstmConfig {
+        input: 64,
+        hidden: 64,
+        classes: 5,
+        seed: 42,
+    });
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let lstm_args = vec![list_object(&lstm.random_tokens(&mut rng, 4))];
+    let tree_args = vec![tree.random_tree(&mut rng, 5).to_object()];
+    for (module, args) in [(lstm.module(), lstm_args), (tree.module(), tree_args)] {
+        let (exe, _) = compile(&module, &CompileOptions::default()).unwrap();
+        let vm = VirtualMachine::new(exe, Arc::new(DeviceSet::cpu_only())).unwrap();
+        let capture = Arc::new(Capture::default());
+        vm.set_dispatch_hook(Some(capture.clone() as Arc<dyn nimble::vm::DispatchHook>));
+        let before = fallback_invocations();
+        vm.run("main", args).unwrap();
+        assert_eq!(
+            fallback_invocations(),
+            before,
+            "a group fell back at one row"
+        );
+        let calls = std::mem::take(&mut *capture.0.lock().unwrap());
+        let cells: Vec<_> = calls
+            .into_iter()
+            .filter(|(k, _)| vm.kernels()[*k as usize].name().contains("+split+"))
+            .collect();
+        assert!(!cells.is_empty(), "no fused cell group ran");
+        for (k, inputs) in cells {
+            let kernel = &vm.kernels()[k as usize];
+            let one = kernel.invoke(&inputs).unwrap();
+            let eight: Vec<Tensor> = inputs.iter().map(|t| repeat_rows(t, 8)).collect();
+            let before = fallback_invocations();
+            let many = kernel.invoke(&eight).unwrap();
+            assert_eq!(
+                fallback_invocations(),
+                before,
+                "{} fell back at 8 rows",
+                kernel.name()
+            );
+            for (a, b) in one.iter().zip(&many) {
+                let bits = |t: &Tensor| -> Vec<u32> {
+                    t.as_f32().unwrap().iter().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(b.dims(), [8, a.dims()[1]].as_slice());
+                assert_eq!(bits(b), bits(&repeat_rows(a, 8)), "{}", kernel.name());
+            }
+        }
+    }
+}
