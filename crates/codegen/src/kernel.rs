@@ -9,11 +9,12 @@
 //!   dimension, the residue-dispatch kernel set of [`crate::symbolic`]
 //!   (Section 4.5);
 //! * **fused primitive kernels** — compiled from the fused function bodies
-//!   produced by the fusion pass. Elementwise members run as one vector
-//!   loop over fixed strips of the output (in place behind an anchor such
-//!   as `dense` or `batch_matmul`), and a `dense` anchor with a unary tail
-//!   runs the tail inside the GEMM write-out, so fusion eliminates both
-//!   intermediate allocations *and* memory traffic.
+//!   produced by the fusion pass, with one or several outputs. Elementwise
+//!   members run as one vector loop over fixed strips (in place behind an
+//!   anchor such as `dense` or `batch_matmul`, reading `split` parts in
+//!   place), and a `dense` anchor with a unary tail runs the tail inside
+//!   the GEMM write-out, so fusion eliminates both intermediate
+//!   allocations *and* memory traffic.
 
 use crate::symbolic::{DispatchLevel, SymbolicDense};
 use nimble_ir::attrs::Attrs;
