@@ -21,10 +21,12 @@
 //!
 //! A member may have uses outside its group; it then becomes an extra
 //! **output**, and a group with k > 1 outputs binds a k-tuple whose fields
-//! rebind the original variables. Joining keeps every group **convex**: an
-//! op joins a group only when none of its other operands depends on that
-//! group, so no path leaves a group and re-enters it, and the group-level
-//! graph stays acyclic. Each group is emitted where its last member stood
+//! rebind the original variables. Joining keeps every group **convex**: a
+//! join makes the group read each of the op's operand groups, so an op
+//! joins a group only when none of those groups already depends on it
+//! through the group-level graph. No path leaves a group and re-enters it,
+//! and that graph stays acyclic, however groups grow after a check. Each
+//! group is emitted where its last member stood
 //! (a topological order that keeps the original one wherever it is valid).
 //!
 //! A fused group appears in the IR as `(fn(params…) { let …; out })(args…)`
@@ -82,31 +84,30 @@ enum Role {
     Barrier,
 }
 
-/// A fixed-size bit set over group ids.
-struct Bits(Vec<u64>);
-
-impl Bits {
-    fn new(n: usize) -> Bits {
-        Bits(vec![0; n.div_ceil(64)])
-    }
-
-    fn insert(&mut self, i: usize) {
-        self.0[i / 64] |= 1 << (i % 64);
-    }
-
-    fn contains(&self, i: usize) -> bool {
-        self.0[i / 64] & (1 << (i % 64)) != 0
-    }
-
-    fn union_with(&mut self, other: &Bits) {
-        self.0.iter_mut().zip(&other.0).for_each(|(a, b)| *a |= b);
-    }
-}
-
 struct Group {
     members: Vec<usize>,
+    /// The other groups whose values this group's members read.
+    reads: Vec<usize>,
     all_injective: bool,
     open: bool,
+}
+
+/// Whether group `from` depends on group `to` through `reads` edges (a
+/// depth-first walk).
+fn depends_on(groups: &[Group], from: usize, to: usize) -> bool {
+    let mut seen = vec![false; groups.len()];
+    let mut stack = vec![from];
+    while let Some(g) = stack.pop() {
+        if g == to {
+            return true;
+        }
+        for &q in &groups[g].reads {
+            if !std::mem::replace(&mut seen[q], true) {
+                stack.push(q);
+            }
+        }
+    }
+    false
 }
 
 fn fuse_block(block: &Expr) -> Expr {
@@ -192,12 +193,11 @@ fn fuse_block(block: &Expr) -> Expr {
         roles.push(role);
     }
 
-    // Group assignment. `deps[i]` holds every group binding `i` depends on,
-    // its own included: an op may join group `g` only when no operand
-    // outside `g` depends on `g` (convexity).
+    // Group assignment. Joining group `g` adds an edge to `g` from every
+    // operand's group, so an op may join `g` only when none of those groups
+    // already depends on `g` (convexity: the group graph stays acyclic).
     let mut groups: Vec<Group> = Vec::new();
     let mut group_of: Vec<usize> = vec![usize::MAX; n];
-    let mut deps: Vec<Bits> = Vec::with_capacity(n);
     for i in 0..n {
         let role = roles[i];
         let ops = &operands[i];
@@ -207,7 +207,7 @@ fn fuse_block(block: &Expr) -> Expr {
                 && (role != Role::Injective || grp.all_injective)
                 && ops
                     .iter()
-                    .all(|&p| group_of[p] == g || !deps[p].contains(g))
+                    .all(|&p| group_of[p] == g || !depends_on(&groups, group_of[p], g))
         };
         let target = match role {
             Role::Anchor | Role::Barrier => None,
@@ -226,6 +226,7 @@ fn fuse_block(block: &Expr) -> Expr {
             None => {
                 groups.push(Group {
                     members: vec![i],
+                    reads: Vec::new(),
                     all_injective: injective,
                     open: role != Role::Barrier,
                 });
@@ -233,12 +234,12 @@ fn fuse_block(block: &Expr) -> Expr {
             }
         };
         group_of[i] = g;
-        let mut d = Bits::new(n);
-        d.insert(g);
         for &p in ops {
-            d.union_with(&deps[p]);
+            let q = group_of[p];
+            if q != g && !groups[g].reads.contains(&q) {
+                groups[g].reads.push(q);
+            }
         }
-        deps.push(d);
     }
 
     // Emission units: a group with at least two operator members becomes
@@ -316,7 +317,7 @@ fn fuse_block(block: &Expr) -> Expr {
             }
         }
     }
-    debug_assert_eq!(
+    assert_eq!(
         done,
         units.len(),
         "convex groups keep the unit graph acyclic"
@@ -552,6 +553,56 @@ mod tests {
         sizes.sort_unstable();
         assert_eq!(sizes, vec![2, 2]);
         assert_eq!(primitive_outputs(&fused), vec![2, 1]);
+    }
+
+    /// Every variable the body reads is a parameter or bound earlier.
+    fn all_bound_before_use(f: &Function) -> bool {
+        let mut bound: HashSet<u32> = f.params.iter().map(|p| p.id).collect();
+        let reads_bound = |e: &Expr, bound: &HashSet<u32>| {
+            let mut ok = true;
+            nimble_ir::visit::visit_post_order(e, &mut |x| {
+                if let ExprKind::Var(v) = x.kind() {
+                    ok &= bound.contains(&v.id);
+                }
+            });
+            ok
+        };
+        let mut cur = f.body.clone();
+        while let ExprKind::Let { var, value, body } = cur.kind() {
+            // Primitive bodies bind their own parameters.
+            let value = match value.kind() {
+                ExprKind::Call { args, .. } if is_primitive_call(value) => {
+                    Expr::tuple(args.clone())
+                }
+                _ => value.clone(),
+            };
+            if !reads_bound(&value, &bound) {
+                return false;
+            }
+            bound.insert(var.id);
+            cur = body.clone();
+        }
+        reads_bound(&cur, &bound)
+    }
+
+    #[test]
+    fn crossing_dataflow_does_not_tie_two_groups_into_a_cycle() {
+        // a = tanh(x); b = relu(y); c = add(a, b); d = mul(b, a).
+        // c joins a's group, which then depends on b's; d may not also
+        // join b's group, or each group would read the other's output.
+        let mut fb = FunctionBuilder::new("f");
+        let x = fb.param("x", TensorType::new(&[1, 8], DType::F32));
+        let y = fb.param("y", TensorType::new(&[1, 8], DType::F32));
+        let a = fb.call("tanh", vec![x], Attrs::new());
+        let b = fb.call("relu", vec![y], Attrs::new());
+        let c = fb.call("add", vec![a.clone(), b.clone()], Attrs::new());
+        let d = fb.call("mul", vec![b, a], Attrs::new());
+        let s = fb.call("add", vec![c, d], Attrs::new());
+        let fused = fuse_function(&to_anf(&fb.finish(s)));
+        assert!(is_anf(&fused.body));
+        assert!(all_bound_before_use(&fused));
+        // {a, c, d, s} fuse; b stays a kernel of its own.
+        assert_eq!(fusion_stats(&fused), vec![4]);
     }
 
     #[test]

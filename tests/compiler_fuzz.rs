@@ -294,6 +294,52 @@ fn value_leaving_a_group_and_returning_compiles_and_matches() {
     close(&fused, &[want]).unwrap();
 }
 
+/// Two candidate groups whose dataflow crosses: `c = add(a, b)` and
+/// `d = mul(b, a)`. Once `c` joins `a`'s group, that group depends on `b`'s,
+/// so `d` may not join `b`'s group as well, or each group would read the
+/// other's output. The program must compile without a cycle and match,
+/// fused bit for bit equal to unfused.
+#[test]
+fn crossing_groups_compile_and_match() {
+    let mut fb = FunctionBuilder::new("main");
+    let ty = || TensorType::with_any(&[None, Some(4)], DType::F32);
+    let x = fb.param("x", ty());
+    let y = fb.param("y", ty());
+    let a = fb.call("tanh", vec![x], Attrs::new());
+    let b = fb.call("relu", vec![y], Attrs::new());
+    let c = fb.call("add", vec![a.clone(), b.clone()], Attrs::new());
+    let d = fb.call("mul", vec![b, a], Attrs::new());
+    let s = fb.call("add", vec![c, d], Attrs::new());
+    let mut module = Module::new();
+    module.add_function("main", fb.finish(s));
+
+    let xv =
+        Tensor::from_vec_f32((0..12).map(|i| i as f32 / 6.0 - 1.0).collect(), &[3, 4]).unwrap();
+    let yv =
+        Tensor::from_vec_f32((0..12).map(|i| 1.0 - i as f32 / 5.0).collect(), &[3, 4]).unwrap();
+    let av = eval("tanh", std::slice::from_ref(&xv));
+    let bv = eval("relu", std::slice::from_ref(&yv));
+    let want = eval(
+        "add",
+        &[
+            eval("add", &[av.clone(), bv.clone()]),
+            eval("mul", &[bv, av]),
+        ],
+    );
+    let inputs = [xv, yv];
+    let fused = run(&module, &CompileOptions::default(), &inputs);
+    let unfused = run(
+        &module,
+        &CompileOptions {
+            fuse: false,
+            ..CompileOptions::default()
+        },
+        &inputs,
+    );
+    assert_eq!(bits(&fused), bits(&unfused));
+    close(&fused, &[want]).unwrap();
+}
+
 /// A regression case distilled from the ANF sharing bug: one value feeding
 /// four consumers (as BERT's `x` feeds q/k/v/residual) must be computed
 /// once.
