@@ -26,7 +26,7 @@ use nimble_tensor::{DType, Tensor, UnaryOp};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Kernel execution failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,7 +237,6 @@ impl Kernel {
         let strip = steps[usize::from(anchored)..]
             .iter()
             .all(|s| s.kind != Kind::Other);
-        let plans = PlanCache::default();
         Ok(Kernel::new(&name, move |inputs| {
             if inputs.len() != num_params {
                 return Err(KernelError(format!(
@@ -246,9 +245,7 @@ impl Kernel {
                 )));
             }
             let isa = nimble_simd::active();
-            let plan = |anchor: Option<&[usize]>| {
-                plans.get(inputs, || StripPlan::new(&steps, &outputs, inputs, anchor))
-            };
+            let plan = |anchor| StripPlan::new(&steps, &outputs, inputs, anchor);
             if strip && !anchored {
                 if let Some(plan) = plan(None) {
                     return plan.run(isa, &steps, &outputs, inputs, None);
@@ -257,7 +254,7 @@ impl Kernel {
             let mut anchor = steps[0].run(inputs, &[])?;
             if strip && anchored && anchor.len() == 1 && anchor[0].dtype() == DType::F32 {
                 let dims = anchor[0].dims();
-                if let Some(plan) = plan(Some(dims)).filter(|p| p.anchor.as_deref() == Some(dims)) {
+                if let Some(plan) = plan(Some(dims)) {
                     return plan.run(isa, &steps, &outputs, inputs, anchor.pop());
                 }
             }
@@ -273,49 +270,6 @@ impl Kernel {
                 .map(|o| o.resolve(inputs, &members).clone())
                 .collect())
         }))
-    }
-}
-
-/// Strip plans of one fused kernel, keyed by the dtypes and dims of its
-/// inputs (a plan depends on nothing else: the anchor's dims follow from
-/// them). `None` records a signature that falls back. Bounded: past
-/// [`PlanCache::CAP`] signatures, plans are rebuilt per call.
-#[derive(Default)]
-struct PlanCache(RwLock<Vec<(Signature, Option<Arc<StripPlan>>)>>);
-
-/// Each input's dtype and dims.
-type Signature = Vec<(DType, Vec<usize>)>;
-
-impl PlanCache {
-    const CAP: usize = 64;
-
-    fn get(
-        &self,
-        inputs: &[Tensor],
-        build: impl FnOnce() -> Option<StripPlan>,
-    ) -> Option<Arc<StripPlan>> {
-        let hit = |key: &[(DType, Vec<usize>)]| {
-            key.len() == inputs.len()
-                && key
-                    .iter()
-                    .zip(inputs)
-                    .all(|((dt, dims), t)| *dt == t.dtype() && dims == t.dims())
-        };
-        let cached = self.0.read().expect("plan cache lock");
-        if let Some((_, plan)) = cached.iter().find(|(key, _)| hit(key)) {
-            return plan.clone();
-        }
-        drop(cached);
-        let plan = build().map(Arc::new);
-        let mut cache = self.0.write().expect("plan cache lock");
-        if cache.len() < Self::CAP && !cache.iter().any(|(key, _)| hit(key)) {
-            let key = inputs
-                .iter()
-                .map(|t| (t.dtype(), t.dims().to_vec()))
-                .collect();
-            cache.push((key, plan.clone()));
-        }
-        plan
     }
 }
 
@@ -336,12 +290,16 @@ const STRIP: usize = 64;
 /// Where a fused member finds one operand, or where a fused kernel finds
 /// one output.
 #[derive(Clone)]
-pub(crate) enum Src {
+pub enum Src {
+    /// A parameter of the primitive, by position.
     Param(usize),
+    /// The (first) value of an earlier member.
     Member(usize),
     /// Field `.1` of the multi-output member `.0` (a `split` part).
     Field(usize, usize),
-    Const(Tensor),
+    /// A constant, with its expression's [`Expr::ref_id`] (the key a
+    /// lowering interns it under).
+    Const(Tensor, usize),
 }
 
 impl Src {
@@ -351,22 +309,32 @@ impl Src {
             Src::Param(i) => &inputs[*i],
             Src::Member(i) => &members[*i][0],
             Src::Field(i, k) => &members[*i][*k],
-            Src::Const(t) => t,
+            Src::Const(t, _) => t,
         }
     }
 }
 
 /// One operator member of a fused primitive, in positional form.
-pub(crate) struct Member {
-    pub(crate) def: &'static op::OpDef,
-    pub(crate) attrs: Attrs,
-    pub(crate) args: Vec<Src>,
+pub struct Member {
+    /// The member's operator.
+    pub def: &'static op::OpDef,
+    /// Its attributes.
+    pub attrs: Attrs,
+    /// Its operands.
+    pub args: Vec<Src>,
 }
 
-/// Parse a primitive body into its operator members and its outputs.
-/// `tuple_get` bindings become [`Src::Field`] operands; the result is one
-/// member or field, or a tuple of them.
-pub(crate) fn parse_primitive(func: &Function) -> Result<(Vec<Member>, Vec<Src>), KernelError> {
+/// Parse a primitive body into its operator members and its outputs: the
+/// one reader of the fused-body layout, shared by the kernel compiler, the
+/// composite shape function and the lowering's descriptors. `tuple_get`
+/// bindings become [`Src::Field`] operands; the result is one member or
+/// field, or a tuple of them.
+///
+/// # Errors
+/// Fails when the body is not a let-chain of operator calls and
+/// `tuple_get`s of members over parameters, constants and prior members,
+/// ending in a member, a field, or a tuple of them.
+pub fn parse_primitive(func: &Function) -> Result<(Vec<Member>, Vec<Src>), KernelError> {
     let mut env: HashMap<u32, Src> = func
         .params
         .iter()
@@ -380,7 +348,7 @@ pub(crate) fn parse_primitive(func: &Function) -> Result<(Vec<Member>, Vec<Src>)
             .get(&v.id)
             .cloned()
             .ok_or_else(|| KernelError(format!("unbound {v} in primitive"))),
-        ExprKind::Constant(t) => Ok(Src::Const(t.clone())),
+        ExprKind::Constant(t) => Ok(Src::Const(t.clone(), a.ref_id())),
         other => Err(KernelError(format!(
             "unsupported primitive argument {other:?}"
         ))),
@@ -462,7 +430,7 @@ impl Step {
         let name = m.def.name;
         let ew = EwOp::of(name).and_then(|(op, arity)| {
             let f32_consts = m.args.iter().all(|s| match s {
-                Src::Const(t) => t.dtype() == DType::F32,
+                Src::Const(t, _) => t.dtype() == DType::F32,
                 _ => true,
             });
             (m.args.len() == arity && f32_consts).then_some(op)
@@ -598,7 +566,7 @@ struct Pos<'s> {
 fn leaf<'s>(src: &'s Src, inputs: &'s [Tensor]) -> &'s [f32] {
     let t = match src {
         Src::Param(i) => &inputs[*i],
-        Src::Const(t) => t,
+        Src::Const(t, _) => t,
         _ => unreachable!("leaf operands are params or constants"),
     };
     t.as_f32().expect("strip plans check leaf dtypes")
@@ -743,9 +711,8 @@ struct SplitView {
 /// each materialized member (an output, or the split's input) is stored.
 struct StripPlan {
     members: Vec<Resolved>,
-    /// The anchor's dims, when member 0 is an anchor whose value is
-    /// already computed.
-    anchor: Option<Vec<usize>>,
+    /// Whether member 0 is an anchor whose value is already computed.
+    anchored: bool,
     split: Option<SplitView>,
     /// Element count and row width of the members before the split.
     pre_len: usize,
@@ -781,7 +748,7 @@ fn leaf_dims<'a>(
     ew.flat_map(move |s| {
         s.args.iter().filter_map(move |a| match a {
             Src::Param(i) => Some(inputs[*i].dims()),
-            Src::Const(t) => Some(t.dims()),
+            Src::Const(t, _) => Some(t.dims()),
             _ => None,
         })
     })
@@ -818,7 +785,7 @@ fn resolve(
         };
         let (rank, span) = match src {
             Src::Param(i) => leaf(&inputs[*i])?,
-            Src::Const(t) => leaf(t)?,
+            Src::Const(t, _) => leaf(t)?,
             Src::Member(i) if *i >= lo => {
                 *slot = Operand::Member(*i);
                 (members[*i].rank, members[*i].span)
@@ -992,7 +959,7 @@ impl StripPlan {
         }
         Some(StripPlan {
             members,
-            anchor: anchor.map(<[usize]>::to_vec),
+            anchored: anchor.is_some(),
             split,
             pre_len,
             pre_width: pre.width(),
@@ -1025,7 +992,7 @@ impl StripPlan {
                 Some(t) => t.as_f32_mut()?,
                 None => &mut [],
             };
-            let first = usize::from(self.anchor.is_some());
+            let first = usize::from(self.anchored);
             let width = self.pre_width;
             for row in 0..self.pre_len / width {
                 for col in (0..width).step_by(STRIP) {

@@ -197,7 +197,7 @@ impl ShapeFuncKernel {
                     ),
                     Src::Member(i) => env[*i][0].clone(),
                     Src::Field(i, k) => env[*i][*k].clone(),
-                    Src::Const(t) => (t.dims().to_vec(), t.dtype()),
+                    Src::Const(t, _) => (t.dims().to_vec(), t.dtype()),
                 };
                 for m in &members {
                     let (shapes, dtypes): (Vec<_>, Vec<_>) =

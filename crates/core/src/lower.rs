@@ -9,6 +9,7 @@
 //! `InvokePacked` entries referencing the executable's kernel table.
 
 use crate::{CompileError, Result};
+use nimble_codegen::kernel::{parse_primitive, Src};
 use nimble_ir::attrs::Attrs;
 use nimble_ir::expr::{Expr, ExprKind, Function, Pattern};
 use nimble_ir::visit::free_vars;
@@ -715,66 +716,28 @@ impl<'m> Lowering<'m> {
         })
     }
 
-    /// A primitive body in descriptor form: its operator members, with
-    /// `tuple_get` bindings folded into [`MemberArg::Field`] operands, and
-    /// its outputs (the result, or the fields of a result tuple).
+    /// A primitive body in descriptor form, read by the kernel compiler's
+    /// [`parse_primitive`]: its operator members, with `tuple_get` bindings
+    /// folded into [`MemberArg::Field`] operands, and its outputs (the
+    /// result, or the fields of a result tuple).
     fn fused_members(&mut self, f: &Function) -> Result<(u32, Vec<FusedMember>, Vec<MemberArg>)> {
-        let mut env: HashMap<u32, MemberArg> = f
-            .params
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.id, MemberArg::Param(i as u32)))
+        let (members, outputs) =
+            parse_primitive(f).map_err(|e| CompileError::msg(e.to_string()))?;
+        let mut arg = |src: &Src| match src {
+            Src::Param(i) => MemberArg::Param(*i as u32),
+            Src::Member(m) => MemberArg::Member(*m as u32),
+            Src::Field(m, k) => MemberArg::Field(*m as u32, *k as u32),
+            Src::Const(t, key) => MemberArg::Const(self.intern_constant(*key, t, 0)),
+        };
+        let members = members
+            .into_iter()
+            .map(|m| FusedMember {
+                op: m.def.name.to_string(),
+                args: m.args.iter().map(&mut arg).collect(),
+                attrs: m.attrs,
+            })
             .collect();
-        let mut tuples: HashMap<u32, Vec<MemberArg>> = HashMap::new();
-        let mut members = Vec::new();
-        let arg = |this: &mut Self, env: &HashMap<u32, MemberArg>, a: &Expr| match a.kind() {
-            ExprKind::Var(v) => env
-                .get(&v.id)
-                .cloned()
-                .ok_or_else(|| CompileError::msg(format!("unbound {v} in primitive"))),
-            ExprKind::Constant(t) => Ok(MemberArg::Const(this.intern_constant(a.ref_id(), t, 0))),
-            other => Err(CompileError::msg(format!(
-                "unsupported primitive argument {other:?}"
-            ))),
-        };
-        let mut cur = f.body.clone();
-        while let ExprKind::Let { var, value, body } = cur.kind() {
-            match value.kind() {
-                ExprKind::TupleGet(t, k) => match arg(self, &env, t)? {
-                    MemberArg::Member(m) => {
-                        env.insert(var.id, MemberArg::Field(m, *k as u32));
-                    }
-                    _ => return Err(CompileError::msg("tuple_get of a non-member in primitive")),
-                },
-                ExprKind::Tuple(fields) => {
-                    let fields = fields
-                        .iter()
-                        .map(|x| arg(self, &env, x))
-                        .collect::<Result<Vec<_>>>()?;
-                    tuples.insert(var.id, fields);
-                }
-                _ => {
-                    let (op, op_args, op_attrs) = value.as_op_call().ok_or_else(|| {
-                        CompileError::msg("fused primitive member must be an op call")
-                    })?;
-                    let args = op_args
-                        .iter()
-                        .map(|a| arg(self, &env, a))
-                        .collect::<Result<Vec<_>>>()?;
-                    env.insert(var.id, MemberArg::Member(members.len() as u32));
-                    members.push(FusedMember {
-                        op: op.to_string(),
-                        attrs: op_attrs.clone(),
-                        args,
-                    });
-                }
-            }
-            cur = body.clone();
-        }
-        let outputs = match cur.as_var().and_then(|v| tuples.remove(&v.id)) {
-            Some(fields) => fields,
-            None => vec![arg(self, &env, &cur)?],
-        };
+        let outputs = outputs.iter().map(arg).collect();
         Ok((f.params.len() as u32, members, outputs))
     }
 }
