@@ -26,7 +26,7 @@ use nimble_tensor::{DType, Tensor, UnaryOp};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// Kernel execution failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -237,6 +237,7 @@ impl Kernel {
         let strip = steps[usize::from(anchored)..]
             .iter()
             .all(|s| s.kind != Kind::Other);
+        let plans = PlanCache::default();
         Ok(Kernel::new(&name, move |inputs| {
             if inputs.len() != num_params {
                 return Err(KernelError(format!(
@@ -245,7 +246,9 @@ impl Kernel {
                 )));
             }
             let isa = nimble_simd::active();
-            let plan = |anchor| StripPlan::new(&steps, &outputs, inputs, anchor);
+            let plan = |anchor: Option<&[usize]>| {
+                plans.get(inputs, || StripPlan::new(&steps, &outputs, inputs, anchor))
+            };
             if strip && !anchored {
                 if let Some(plan) = plan(None) {
                     return plan.run(isa, &steps, &outputs, inputs, None);
@@ -254,7 +257,7 @@ impl Kernel {
             let mut anchor = steps[0].run(inputs, &[])?;
             if strip && anchored && anchor.len() == 1 && anchor[0].dtype() == DType::F32 {
                 let dims = anchor[0].dims();
-                if let Some(plan) = plan(Some(dims)) {
+                if let Some(plan) = plan(Some(dims)).filter(|p| p.anchor.as_deref() == Some(dims)) {
                     return plan.run(isa, &steps, &outputs, inputs, anchor.pop());
                 }
             }
@@ -270,6 +273,53 @@ impl Kernel {
                 .map(|o| o.resolve(inputs, &members).clone())
                 .collect())
         }))
+    }
+}
+
+/// Strip plans of one fused kernel, keyed by the dtypes and dims of its
+/// inputs (a plan depends on nothing else: the anchor's dims follow from
+/// them). `None` records a signature that falls back. Bounded: past
+/// [`PlanCache::CAP`] signatures, plans are rebuilt per call and the cache
+/// is only read.
+#[derive(Default)]
+struct PlanCache(RwLock<Vec<(Signature, Option<Arc<StripPlan>>)>>);
+
+/// Each input's dtype and dims.
+type Signature = Vec<(DType, Vec<usize>)>;
+
+impl PlanCache {
+    const CAP: usize = 64;
+
+    fn get(
+        &self,
+        inputs: &[Tensor],
+        build: impl FnOnce() -> Option<StripPlan>,
+    ) -> Option<Arc<StripPlan>> {
+        let hit = |key: &[(DType, Vec<usize>)]| {
+            key.len() == inputs.len()
+                && key
+                    .iter()
+                    .zip(inputs)
+                    .all(|((dt, dims), t)| *dt == t.dtype() && dims == t.dims())
+        };
+        let cached = self.0.read().expect("plan cache lock");
+        if let Some((_, plan)) = cached.iter().find(|(key, _)| hit(key)) {
+            return plan.clone();
+        }
+        let full = cached.len() >= Self::CAP;
+        drop(cached);
+        let plan = build().map(Arc::new);
+        if !full {
+            let mut cache = self.0.write().expect("plan cache lock");
+            if cache.len() < Self::CAP && !cache.iter().any(|(key, _)| hit(key)) {
+                let key = inputs
+                    .iter()
+                    .map(|t| (t.dtype(), t.dims().to_vec()))
+                    .collect();
+                cache.push((key, plan.clone()));
+            }
+        }
+        plan
     }
 }
 
@@ -711,8 +761,9 @@ struct SplitView {
 /// each materialized member (an output, or the split's input) is stored.
 struct StripPlan {
     members: Vec<Resolved>,
-    /// Whether member 0 is an anchor whose value is already computed.
-    anchored: bool,
+    /// The anchor's dims, when member 0 is an anchor whose value is
+    /// already computed.
+    anchor: Option<Vec<usize>>,
     split: Option<SplitView>,
     /// Element count and row width of the members before the split.
     pre_len: usize,
@@ -959,7 +1010,7 @@ impl StripPlan {
         }
         Some(StripPlan {
             members,
-            anchored: anchor.is_some(),
+            anchor: anchor.map(<[usize]>::to_vec),
             split,
             pre_len,
             pre_width: pre.width(),
@@ -992,7 +1043,7 @@ impl StripPlan {
                 Some(t) => t.as_f32_mut()?,
                 None => &mut [],
             };
-            let first = usize::from(self.anchored);
+            let first = usize::from(self.anchor.is_some());
             let width = self.pre_width;
             for row in 0..self.pre_len / width {
                 for col in (0..width).step_by(STRIP) {
@@ -1207,6 +1258,24 @@ mod tests {
         let out = k.invoke(&[a, b]).unwrap();
         assert_eq!(out[0].as_f32().unwrap(), &[4.0, 6.0]);
         assert!(Kernel::from_op("not_an_op", &Attrs::new(), false).is_err());
+    }
+
+    #[test]
+    fn plan_cache_stops_growing_at_its_cap() {
+        let cache = PlanCache::default();
+        let mut builds = 0;
+        for n in 1..=PlanCache::CAP + 6 {
+            let inputs = [Tensor::zeros(DType::F32, &[n])];
+            for _ in 0..2 {
+                cache.get(&inputs, || {
+                    builds += 1;
+                    None
+                });
+            }
+        }
+        assert_eq!(cache.0.read().unwrap().len(), PlanCache::CAP);
+        // A cached signature builds once; one past the cap on every call.
+        assert_eq!(builds, PlanCache::CAP + 2 * 6);
     }
 
     #[test]
